@@ -79,7 +79,6 @@ from .nikishin import (
 )
 from .polyseq import (
     CompanionTable,
-    HessenbergSection,
     MonicPolySeq,
     MultiIndex,
     eval_Q,

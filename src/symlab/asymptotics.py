@@ -40,6 +40,7 @@ from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
 from .branches import s_measure, solve_branches, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
 from .quadrature import MeasureHandle, build_fixed_rule, rule_apply
+from .rootfind import bisect
 from .nikishin import NikishinSystem, _rho1_rule, product_measure, psi_values
 
 _LOG_FLOOR = math.log(1e-14) - 34.0
@@ -217,19 +218,7 @@ class SpectrumReport:
     k: int
     n: int
     roots: np.ndarray
-    counting: np.ndarray
     hausdorff_to_cut: float
-
-
-def _bisect_det(det, lo: np.ndarray, hi: np.ndarray, iters: int = 60) -> np.ndarray:
-    slo = np.array([math.copysign(1.0, det(v)) for v in lo])
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        smid = np.array([math.copysign(1.0, det(v)) for v in mid])
-        take = smid == slo
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def _hausdorff(roots: np.ndarray, cut, samples: int = 512) -> float:
@@ -262,27 +251,30 @@ def gen_spectrum(sym: SymbolCoeffs, n: int, k: int,
     struct = struct or critical_structure(sym)
     if k == 0:
         roots = zeros_Q(sym, n, struct)
-        rep = SpectrumReport(k=0, n=n, roots=roots, counting=roots,
-                             hausdorff_to_cut=_hausdorff(roots, struct.cut(1)))
-        return rep
+        return SpectrumReport(k=0, n=n, roots=roots,
+                              hausdorff_to_cut=_hausdorff(roots, struct.cut(1)))
     section = ToeplitzSection(n=n - k, k=k, sym=sym)
     cut = struct.cut(k + 1)
+
+    def det(xs: np.ndarray) -> np.ndarray:
+        return np.array([section.det(v) for v in xs])
+
     if k == 1:
         psis = psi_zeros(sym, sys, n, struct=struct)
-        want = int(np.sum(multi_index(n, sym.p).components[1:])) - 1
-        lo, hi = psis[:-1], psis[1:]
-        sign_lo = np.array([math.copysign(1.0, section.det(v)) for v in lo])
-        sign_hi = np.array([math.copysign(1.0, section.det(v)) for v in hi])
-        if np.any(sign_lo == sign_hi) or lo.size != want:
+        # P_{n,1} has degree <= 0 for n <= 1: no roots, not -1 of them
+        want = max(int(np.sum(multi_index(n, sym.p).components[1:])) - 1, 0)
+        signs = np.sign(det(psis))
+        changes = signs[:-1] * signs[1:] < 0.0
+        if not np.all(changes) or changes.size != want:
             raise RootCountMismatch(
                 f"expected {want} sign changes between the {psis.size} "
-                f"second-type zeros, found {int(np.sum(sign_lo != sign_hi))}"
+                f"second-type zeros, found {int(np.sum(changes))}"
             )
-        roots = _bisect_det(section.det, lo.copy(), hi.copy())
+        lo, hi = bisect(det, psis[:-1], psis[1:], signs[:-1], 60)
+        roots = np.sort(0.5 * (lo + hi))
     else:
-        roots = _scan_ray(section.det, cut)
-    roots = np.sort(roots)
-    return SpectrumReport(k=k, n=n, roots=roots, counting=roots,
+        roots = _scan_ray(det, cut, 1e-6 * cut.scale())
+    return SpectrumReport(k=k, n=n, roots=roots,
                           hausdorff_to_cut=_hausdorff(roots, cut))
 
 
@@ -299,20 +291,26 @@ def _grid_size(inner: float, outer: float) -> int:
     return min(3200, max(600, 90 * int(math.log10(outer / inner) + 1)))
 
 
-def _scan_ray(det, cut, max_doublings: int = 18) -> np.ndarray:
-    inner = 1e-6 * cut.scale()
+def _scan_ray(f, cut, inner: float, want: int | None = None) -> np.ndarray:
+    """Sorted sign-change roots of a vectorized f on a ray cut.
+
+    Scans a log grid from `inner` out to a radius that doubles until the
+    outermost sign change sits well inside it (and, when `want` is
+    given, exactly `want` changes are seen), then bisects each bracket.
+    """
     outer = 4.0 * cut.scale()
-    for _ in range(max_doublings):
+    for _ in range(24):
         grid = _ray_grid(cut, inner, outer, _grid_size(inner, outer))
-        vals = np.array([det(v) for v in grid])
-        signs = np.sign(vals)
+        signs = np.sign(f(grid))
         idx = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-        if idx.size:
-            outermost = abs(grid[idx[0]] - cut.finite_end)
-            if outermost < 0.8 * outer:
-                return _bisect_det(det, grid[idx], grid[idx + 1])
+        if want is not None and idx.size > want:
+            raise CountMismatch(f"found {idx.size} zeros, expected {want}")
+        inside = idx.size > 0 and abs(grid[idx[0]] - cut.finite_end) < 0.8 * outer
+        if inside and (want is None or idx.size == want):
+            lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60)
+            return np.sort(0.5 * (lo + hi))
         outer *= 2.0
-    raise CountMismatch("scan radius exhausted before roots stabilized")
+    raise CountMismatch(f"roots on Gamma_{cut.index} did not stabilize")
 
 
 # ---- second-kind zeros and minors ----
@@ -343,28 +341,7 @@ def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
             out[i] = float((pref * _widom_terms(z, 1, powers)).real)
         return out
 
-    inner = 1e-3 * cut.scale() / (n + 1) ** 2
-    outer = 4.0 * cut.scale()
-    for _ in range(24):
-        grid = _ray_grid(cut, inner, outer, _grid_size(inner, outer))
-        vals = scaled(grid)
-        signs = np.sign(vals)
-        idx = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-        count = idx.size
-        if count > want:
-            raise CountMismatch(f"found {count} zeros, expected {want}")
-        outermost = abs(grid[idx[0]] - cut.finite_end) if count else 0.0
-        if count == want and outermost < 0.8 * outer:
-            lo, hi = grid[idx], grid[idx + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                smid = np.sign(scaled(mid))
-                take = smid == np.sign(scaled(lo))
-                lo = np.where(take, mid, lo)
-                hi = np.where(take, hi, mid)
-            return np.sort(0.5 * (lo + hi))
-        outer *= 2.0
-    raise CountMismatch(f"did not stabilize {want} zeros on Gamma_2")
+    return _scan_ray(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want)
 
 
 def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) -> complex:

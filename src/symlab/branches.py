@@ -8,10 +8,10 @@ reproduces (z_0, z_0^2, ..., z_0^p) at large lambda.
 Boundary values on a cut are taken from below through a geometric
 epsilon schedule with Richardson extrapolation.  Density evaluation on
 quadrature grids takes a cheaper route: at real x inside cut k the root
-set is real except for the single conjugate pair (k-1, k), so one cached
-sign (which pair member is the minus-side limit) resolves the boundary
-value from a direct real-coefficient solve.  The two routes are tested
-against each other.
+set is real except for the single conjugate pair (k-1, k), so one sign
+per cut (which pair member is the minus-side limit, kept on the
+`CriticalStructure`) resolves the boundary value from a direct
+real-coefficient solve.  The two routes are tested against each other.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .quadrature import MeasureHandle, cauchy_transform
 from .rootfind import roots_batched
-from .symbol import CriticalStructure, Cut, SymbolCoeffs, critical_structure
+from .symbol import CriticalStructure, Cut, SymbolCoeffs, critical_structure, eval_symbol
 
 _TIE_TOL = 1e-9
 
@@ -73,7 +73,7 @@ def solve_grid(sym: SymbolCoeffs, lams) -> np.ndarray:
     # lexicographic (modulus, real, imag) for a deterministic order
     order = np.lexsort((roots.imag, roots.real, np.abs(roots)), axis=1)
     roots = np.take_along_axis(roots, order, axis=1)
-    res = np.abs(_eval_a(sym, roots) - lams[:, None])
+    res = np.abs(eval_symbol(sym, roots)[0] - lams[:, None])
     bad = res > 1e-10 * (1.0 + np.abs(lams))[:, None]
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
@@ -81,20 +81,6 @@ def solve_grid(sym: SymbolCoeffs, lams) -> np.ndarray:
             f"branch residual {res[bad].max():.3e} at lambda = {lams[i]:.6g}"
         )
     return roots
-
-
-def _eval_a(sym: SymbolCoeffs, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in reversed(sym.a):
-        acc = acc * z + c
-    return acc + 1.0 / z
-
-
-def _eval_da(sym: SymbolCoeffs, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for k in range(sym.p, 0, -1):
-        acc = acc * z + k * sym.a[k]
-    return acc - 1.0 / z ** 2
 
 
 def solve_branches(sym: SymbolCoeffs, lam: complex) -> BranchValues:
@@ -111,7 +97,7 @@ def branch_derivative(sym: SymbolCoeffs, bv: BranchValues) -> tuple[complex, ...
     """z_j'(lambda) = 1/a'(z_j) by implicit differentiation."""
     out = []
     for z in bv.z:
-        da = complex(_eval_da(sym, np.asarray(z)))
+        da = complex(eval_symbol(sym, z)[2])
         scale = abs(z) ** -2 + sum(
             k * abs(sym.a[k]) * abs(z) ** (k - 1) for k in range(1, sym.p + 1)
         )
@@ -166,9 +152,6 @@ def boundary_values(
 
 # ---- cached-sign direct densities on cuts ----
 
-_sign_cache: dict[tuple, float] = {}
-
-
 def _reference_point(cut: Cut) -> float:
     if not cut.is_ray:
         return 0.5 * (cut.lo + cut.hi)
@@ -178,12 +161,11 @@ def _reference_point(cut: Cut) -> float:
 
 
 def _minus_sign(sym: SymbolCoeffs, k: int, struct: CriticalStructure) -> float:
-    key = (sym.key(), k)
-    if key not in _sign_cache:
+    if k not in struct.minus_signs:
         x_ref = _reference_point(struct.cut(k))
         s = boundary_values(sym, k, x_ref, struct)
-        _sign_cache[key] = math.copysign(1.0, s.z_minus.imag)
-    return _sign_cache[key]
+        struct.minus_signs[k] = math.copysign(1.0, s.z_minus.imag)
+    return struct.minus_signs[k]
 
 
 def pair_minus(
@@ -222,7 +204,7 @@ def s_density(sym: SymbolCoeffs, k: int, x, struct: CriticalStructure | None = N
     if not all(cut.contains_interior(float(v)) for v in xs):
         raise NotInCut(f"point outside interior of cut {k}")
     zp = np.conj(pair_minus(sym, k, xs, struct))
-    out = (1.0 / _eval_da(sym, zp) / zp).imag / np.pi
+    out = (1.0 / eval_symbol(sym, zp)[2] / zp).imag / np.pi
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -337,7 +319,7 @@ def log_derivative_identity_residual(sym: SymbolCoeffs, k: int, lam: complex) ->
     struct = critical_structure(sym)
     bv = solve_branches(sym, lam)
     zk = bv.z[k]
-    lhs = (1.0 / complex(_eval_da(sym, np.asarray(zk)))) / zk
+    lhs = (1.0 / complex(eval_symbol(sym, zk)[2])) / zk
 
     def transform(i: int) -> complex:
         if i < 1 or i > sym.p:

@@ -5,7 +5,8 @@ Every subcommand needs exactly one symbol source (--coeffs a0,...,ap or
 schema_version and fixed field order, or CSV with a header row.  Floats
 are serialized in shortest round-trip form, so identical inputs give
 byte-identical output.  Exit codes: 0 success, 1 verification or
-computation failure, 2 configuration error.
+computation failure (a named SymlabError), 2 usage error.  Anything
+else is an internal error and surfaces as a traceback.
 """
 
 import argparse
@@ -176,7 +177,7 @@ def cmd_spectrum(sym, args) -> int:
         "k": rep.k,
         "n": rep.n,
         "roots": [float(v) for v in rep.roots],
-        "counting": [float(v) for v in rep.counting],
+        "counting": [float(v) for v in rep.roots],
         "hausdorff_to_cut": float(rep.hausdorff_to_cut),
     }
     _emit_json(doc, args.out)
@@ -307,12 +308,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_fold_dash_values(list(argv)))
+        if getattr(args, "n", 0) < 0:
+            raise ConfigError(f"need n >= 0, got {args.n}")
         sym = _parse_symbol(args)
         return _COMMANDS[args.command](sym, args)
     except ConfigError as exc:
-        _error_json("ConfigError", str(exc))
-        return 2
-    except ValueError as exc:
         _error_json("ConfigError", str(exc))
         return 2
     except _MATH_ERRORS as exc:

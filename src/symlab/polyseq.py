@@ -8,7 +8,8 @@ degrees far beyond what the coefficient form tolerates.
 Zeros are located by induction on n: interlacing guarantees exactly one
 zero of Q_{n+1} strictly between consecutive points of
 {alpha, zeros(Q_n), beta}, so bracketed bisection plus one Newton step
-is provably convergent and needs no eigensolver.
+is provably convergent and needs no eigensolver.  The bisection is the
+shared sign-only `rootfind.bisect`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InterlacingViolation
+from .rootfind import bisect
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
 
 
@@ -125,23 +127,17 @@ def moments(sym: SymbolCoeffs, j: int, m_max: int) -> list[Fraction]:
 
 def eval_Q(sym: SymbolCoeffs, n: int, lam):
     """Q_n(lam) through the value-domain recurrence; scalar or array."""
-    lam = np.asarray(lam)
-    hist = [np.zeros_like(lam, dtype=complex) for _ in range(sym.p)]
-    cur = np.ones_like(lam, dtype=complex)
-    for _ in range(n):
-        nxt = (lam - sym.a[0]) * cur
-        for k in range(1, sym.p + 1):
-            nxt = nxt - sym.a[k] * hist[k - 1]
-        hist = [cur] + hist[:-1]
-        cur = nxt
-    if np.isrealobj(lam) and np.all(np.abs(cur.imag) == 0.0):
-        cur = cur.real
-    return cur[()] if np.ndim(lam) == 0 else cur
+    return eval_Q_with_derivative(sym, n, lam)[0][()]
 
 
 def eval_Q_with_derivative(sym: SymbolCoeffs, n: int, lam):
-    """(Q_n, Q_n') jointly, for Newton polishing of zeros."""
-    lam = np.asarray(lam, dtype=float)
+    """(Q_n, Q_n') jointly by the value-domain recurrence.
+
+    Runs in np.result_type(lam, float): real input stays real (the cheap
+    path that zero finding lives on) and complex input stays complex.
+    """
+    lam = np.asarray(lam)
+    lam = lam.astype(np.result_type(lam, float), copy=False)
     hist = [np.zeros_like(lam) for _ in range(sym.p)]
     dhist = [np.zeros_like(lam) for _ in range(sym.p)]
     cur = np.ones_like(lam)
@@ -170,23 +166,18 @@ def zeros_Q(
     zeros = np.empty(0)
     for m in range(1, n + 1):
         nodes = np.concatenate(([alpha], zeros, [beta]))
-        vals, _ = eval_Q_with_derivative(sym, m, nodes)
-        if np.any(vals[:-1] * vals[1:] >= 0.0):
-            i = int(np.argwhere(vals[:-1] * vals[1:] >= 0.0)[0][0])
+        signs = np.sign(eval_Q_with_derivative(sym, m, nodes)[0])
+        # signs, not products of values: on a small-scale symbol Q_m is
+        # tiny enough for a product of two values to underflow to 0
+        flat = signs[:-1] * signs[1:] >= 0.0
+        if np.any(flat):
+            i = int(np.argwhere(flat)[0][0])
             raise InterlacingViolation(
                 f"Q_{m} does not change sign on bracket "
                 f"[{nodes[i]:.8g}, {nodes[i + 1]:.8g}]"
             )
-        lo, hi = nodes[:-1].copy(), nodes[1:].copy()
-        flo = vals[:-1].copy()
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            fmid, _ = eval_Q_with_derivative(sym, m, mid)
-            left = flo * fmid < 0.0
-            exact = fmid == 0.0  # e.g. symmetric symbols hit 0 dead on
-            hi = np.where(left | exact, mid, hi)
-            lo = np.where(left, lo, mid)
-            flo = np.where(left, flo, fmid)
+        lo, hi = bisect(lambda x: eval_Q_with_derivative(sym, m, x)[0],
+                        nodes[:-1], nodes[1:], signs[:-1], 48)
         mid = 0.5 * (lo + hi)
         f, df = eval_Q_with_derivative(sym, m, mid)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -194,26 +185,3 @@ def zeros_Q(
         step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
         zeros = np.sort(mid - step)
     return zeros
-
-
-@dataclass
-class HessenbergSection:
-    """Finite section A_n: superdiagonal 1, diagonal a_0, subdiagonals a_k."""
-
-    sym: SymbolCoeffs
-    n: int
-
-    def dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            if i + 1 < self.n:
-                A[i, i + 1] = 1.0
-            for k in range(0, self.sym.p + 1):
-                if i - k >= 0:
-                    A[i, i - k] = self.sym.a[k]
-        return A
-
-    def char_det(self, lam: float) -> float:
-        """det(lam I - A_n) via LU; independent check of eval_Q."""
-        sign, logabs = np.linalg.slogdet(lam * np.eye(self.n) - self.dense())
-        return float(sign * np.exp(logabs))

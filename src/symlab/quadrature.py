@@ -244,15 +244,6 @@ def integrate(
     return res
 
 
-def _cut_distance(cut: Cut, lam: complex) -> float:
-    xr, xi = lam.real, lam.imag
-    if xr < cut.lo:
-        return math.hypot(cut.lo - xr, xi)
-    if xr > cut.hi:
-        return math.hypot(xr - cut.hi, xi)
-    return abs(xi)
-
-
 def cauchy_transform(
     m: MeasureHandle,
     lam: complex,
@@ -269,7 +260,7 @@ def cauchy_transform(
     lam = complex(lam)
     cut = m.cut
     scale = cut.scale()
-    dist = _cut_distance(cut, lam)
+    dist = cut.distance(lam)
     if dist <= 1e-12 * scale:
         raise OnCut(f"lambda = {lam:.8g} lies on the cut of {m.name or 'measure'}")
 

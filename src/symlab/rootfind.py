@@ -1,10 +1,14 @@
-"""Batched simultaneous root finding for small dense polynomials.
+"""Root finding: batched polynomial roots and bracketed bisection.
 
 The workhorse is an Aberth-Ehrlich iteration vectorized over a batch of
 polynomials that share one degree.  Initial points follow Bini's
 convex-hull radii so that widely separated root moduli (the normal
 situation here: one root ~ 1/lambda, the rest ~ lambda^(1/p)) are seeded
 on the right circles from the start.
+
+`bisect` is the one real-root refiner: every caller (zeros of Q_n,
+section determinants, second-type zeros) holds sign-change brackets and
+narrows them by signs alone.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndar
     return p, dp
 
 
-def roots_batched(coeffs: np.ndarray, *, tol_scale: float | None = None) -> np.ndarray:
+def roots_batched(coeffs: np.ndarray) -> np.ndarray:
     """Roots of a batch of polynomials, shape (m, deg), unordered.
 
     `coeffs` has shape (m, deg+1), low degree first, complex or real.
@@ -121,8 +125,7 @@ def roots_batched(coeffs: np.ndarray, *, tol_scale: float | None = None) -> np.n
 
     p, _ = _horner_pair(monic, z)
     scale = np.abs(monic).sum(axis=1, keepdims=True)
-    limit = tol_scale if tol_scale is not None else 1e-10
-    bad = np.abs(p) > limit * scale * np.maximum(1.0, np.abs(z)) ** deg
+    bad = np.abs(p) > 1e-10 * scale * np.maximum(1.0, np.abs(z)) ** deg
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ConvergenceFailure(
@@ -135,3 +138,21 @@ def roots_batched(coeffs: np.ndarray, *, tol_scale: float | None = None) -> np.n
 def roots_single(coeffs: np.ndarray) -> np.ndarray:
     """Roots of one polynomial (1-d coefficient array, low to high)."""
     return roots_batched(np.asarray(coeffs)[None, :])[0]
+
+
+def bisect(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
+           steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow brackets [lo, hi] around sign changes of a vectorized f.
+
+    `sign_lo` is np.sign(f(lo)), which the caller already holds.  Only
+    signs are compared, never products of values, so tiny magnitudes
+    cannot underflow into a false "no change".  An exact zero at a
+    midpoint collapses its bracket there.  Returns the final (lo, hi).
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        s = np.sign(f(mid))
+        same = s == sign_lo
+        lo = np.where(same | (s == 0.0), mid, lo)
+        hi = np.where(same, hi, mid)
+    return lo, hi

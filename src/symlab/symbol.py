@@ -35,9 +35,6 @@ class SymbolCoeffs:
     p: int
     a: tuple[float, ...]
 
-    def key(self) -> tuple:
-        return (self.p, self.a)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -69,6 +66,15 @@ class Cut:
     def contains_interior(self, x: float, margin: float = 0.0) -> bool:
         return self.lo + margin < x < self.hi - margin
 
+    def distance(self, lam: complex) -> float:
+        """Euclidean distance from a complex point to the cut."""
+        lam = complex(lam)
+        if lam.real < self.lo:
+            return abs(lam - self.lo)
+        if lam.real > self.hi:
+            return abs(lam - self.hi)
+        return abs(lam.imag)
+
 
 @dataclass(frozen=True)
 class CriticalStructure:
@@ -76,7 +82,9 @@ class CriticalStructure:
 
     Ordering follows the sign orientation: ascending when p critical
     points are negative, descending when p are positive.  `kinds[k]`
-    ('min' or 'max') is defined for k = 2..p.
+    ('min' or 'max') is defined for k = 2..p.  `minus_signs` holds, per
+    cut k, the imaginary sign of the minus-side boundary value that
+    `branches.pair_minus` resolves once for this symbol.
     """
 
     orientation: str  # "p_negative" | "p_positive"
@@ -84,6 +92,7 @@ class CriticalStructure:
     lam: tuple[float, ...]  # r(x_1) ... r(x_{p+1})
     kinds: dict[int, str] = field(default_factory=dict)
     cuts: tuple[Cut, ...] = ()
+    minus_signs: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
     def cut(self, k: int) -> Cut:
         return self.cuts[k - 1]
@@ -110,10 +119,11 @@ def eval_symbol(sym: SymbolCoeffs, z):
     if np.any(z == 0):
         raise DivisionAtZero("symbol has a pole at z = 0")
     a = np.zeros_like(z, dtype=complex) if np.iscomplexobj(z) else np.zeros_like(z, dtype=float)
-    da = np.zeros_like(a)
     for c in reversed(sym.a):
-        da = da * z + a
         a = a * z + c
+    da = np.zeros_like(a)
+    for k in range(sym.p, 0, -1):
+        da = da * z + k * sym.a[k]
     az = a + 1.0 / z
     daz = da - 1.0 / z ** 2
     w = 1.0 / z

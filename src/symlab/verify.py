@@ -77,12 +77,7 @@ def _offcut_box(struct: CriticalStructure, count: int, min_dist: float) -> np.nd
             rng.uniform(g1.lo - 2 * s, g1.hi + 2 * s),
             rng.uniform(-2 * s, 2 * s),
         )
-        d = abs(lam.imag)
-        if lam.real < g1.lo:
-            d = abs(lam - g1.lo)
-        elif lam.real > g1.hi:
-            d = abs(lam - g1.hi)
-        if d > min_dist:
+        if g1.distance(lam) > min_dist:
             out.append(lam)
     return np.array(out)
 
@@ -108,19 +103,9 @@ def _ray_safe_probes(struct: CriticalStructure, count: int) -> np.ndarray:
     out = []
     while len(out) < count:
         lam = complex(rng.uniform(-3 * s, 3 * s), rng.uniform(-2 * s, 2 * s))
-        if all(_dist_to_cut(c, lam) > 1.0 for c in cuts):
+        if all(c.distance(lam) > 1.0 for c in cuts):
             out.append(lam)
     return np.array(out)
-
-
-def _dist_to_cut(cut, lam: complex) -> float:
-    lo, hi = cut.lo, cut.hi
-    x = lam.real
-    if x < lo:
-        return abs(lam - lo)
-    if x > hi:
-        return abs(lam - hi)
-    return abs(lam.imag)
 
 
 def check_psi_p_closed_form(sym: SymbolCoeffs, sys: NikishinSystem) -> CheckResult:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symlab import (
+    build_symbol,
     counting_compare,
     eval_Q,
     gen_spectrum,
@@ -118,6 +119,20 @@ def test_gen_spectrum_k1_count_and_interlace(can, can_struct, can_sys):
         # each root sits strictly between consecutive second-kind zeros
         for i, r in enumerate(rep.roots):
             assert zs[i] < r < zs[i + 1]
+
+
+def test_gen_spectrum_k1_low_degree(can, can_struct, can_sys):
+    # N_{n,1} - 1 <= 0: P_{n,1} has degree <= 0 for n <= 1, and P_{2,1} = a_1
+    for n in (0, 1, 2):
+        rep = gen_spectrum(can, n, 1, struct=can_struct, sys=can_sys)
+        assert rep.roots.size == 0
+
+
+def test_gen_spectrum_k2_ray_scan():
+    # p = 3 from critical points (-2, -1.5, -0.2, 3.7): k = 2 scans cut 3
+    sym = build_symbol(3, (0.0, 9.99, 6.545, 0.74))
+    rep = gen_spectrum(sym, 12, 2)
+    np.testing.assert_allclose(rep.roots, [31.77227539, 104.71317973], atol=1e-6)
 
 
 def test_first_shifted_section_is_constant(can):

@@ -93,6 +93,12 @@ def test_spectrum_json(capsys):
     assert doc["roots"] == pytest.approx(
         [-42.21537375, -11.6480291, -6.55574882, -5.25703881], abs=1e-6
     )
+    # P_{1,1} is a constant: no roots, not a count mismatch
+    code, out, _ = run_cli(
+        ["spectrum", "--coeffs", "0,7,3", "--n", "1", "--k", "1"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["roots"] == []
 
 
 def test_hp_json(capsys):
@@ -117,10 +123,24 @@ def test_exit_codes(capsys):
     )
     assert code == 2
 
+    code, out, err = run_cli(["zeros", "--coeffs", "0,0.25", "--n", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ConfigError"
+
     # math failure: zero leading coefficient is a domain error, not config
     code, _, err = run_cli(["analyze", "--coeffs", "0,7,0"], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "ZeroLeadingCoefficient"
+
+
+def test_internal_error_is_not_config_error(monkeypatch):
+    # a ValueError from inside the library is a bug, not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("symlab.cli.zeros_Q", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["zeros", "--coeffs", "0,0.25", "--n", "4"])
 
 
 def test_out_file(tmp_path, capsys):

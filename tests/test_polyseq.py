@@ -56,6 +56,12 @@ def test_eval_Q_with_derivative(can):
     h = 1e-6
     num = (eval_Q(can, 8, 2.5 + h) - eval_Q(can, 8, 2.5 - h)) / (2 * h)
     assert dv == pytest.approx(num, rel=1e-7)
+    # complex input runs the same recurrence in complex arithmetic
+    lam = 10 + 5j
+    v, dv = eval_Q_with_derivative(can, 8, lam)
+    assert v == eval_Q(can, 8, lam)
+    num = (eval_Q(can, 8, lam + h) - eval_Q(can, 8, lam - h)) / (2 * h)
+    assert dv == pytest.approx(num, rel=1e-7)
 
 
 def test_chebyshev_scaling(cheb):
@@ -97,6 +103,12 @@ def test_zeros_chebyshev_closed_form(cheb):
         zs = zeros_Q(cheb, n)
         want = np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
         np.testing.assert_allclose(zs, want, atol=1e-13)
+    # a small-scale symbol: Q_n is tiny there, so products of two values
+    # underflow; zeros are a0 + 2 sqrt(a1) cos(k pi/(n+1)) on [-0.02, 0.02]
+    small = build_symbol(1, (0.0, 1e-4))
+    for n in (80, 90, 150):
+        want = 0.02 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+        np.testing.assert_allclose(zeros_Q(small, n), want, rtol=0, atol=1e-12 * 0.04)
 
 
 def test_zeros_canonical_frozen(can):

@@ -35,6 +35,17 @@ def test_eval_symbol_laurent(can):
     assert drz == pytest.approx(1.0 - 7.0 / z**2 - 6.0 / z**3)
 
 
+def test_cut_distance(can_struct):
+    interval, ray = can_struct.cut(1), can_struct.cut(2)  # [-4.75, 5.67], (-inf, -5]
+    assert interval.distance(-7.75 + 4j) == pytest.approx(5.0)  # left of the cut
+    assert interval.distance(interval.hi + 3 - 4j) == pytest.approx(5.0)  # right
+    assert interval.distance(1.0 + 0.5j) == 0.5  # above
+    assert interval.distance(1.0) == 0.0  # on it
+    assert ray.distance(-2.0 + 4j) == pytest.approx(5.0)  # right of the end
+    assert ray.distance(-100.0 - 2j) == 2.0  # below
+    assert ray.distance(-8.0) == 0.0  # on it
+
+
 def test_critical_polynomial_roots_are_critical_points(can):
     # ascending coefficients; for (0,7,3) this is x^3 - 7x - 6 = (x+2)(x+1)(x-3)
     q = critical_polynomial(can)
