@@ -27,7 +27,7 @@ def main():
     nmax = int(sys.argv[1]) if len(sys.argv) > 1 else 24
     sym = build_symbol(2, (0.0, 7.0, 3.0))
     struct = critical_structure(sym)
-    sys_ = build_system(sym)
+    sys_ = build_system(sym, struct)
     lam2 = struct.cut(2).finite_end
 
     print(f"# symbol (0,7,3), Gamma_2 = (-inf, {lam2}]")

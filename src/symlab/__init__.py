@@ -88,6 +88,7 @@ from .polyseq import (
     moments,
     multi_index,
     zeros_Q,
+    zeros_Q_levels,
 )
 from .quadrature import (
     FixedRule,

@@ -194,15 +194,15 @@ class ToeplitzSection:
 
     def matrix(self, lam: complex) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=np.result_type(float, lam))
-        for i in range(self.n):
-            for j in range(self.n):
-                d = i + self.k - j
-                if d == -1:
-                    mat[i, j] = 1.0
-                elif 0 <= d <= self.sym.p:
-                    mat[i, j] = self.sym.a[d]
-                if d == 0:
-                    mat[i, j] -= lam
+        rows = np.arange(self.n)
+        # fill the p + 2 diagonals d = i + k - j = -1..p, then shift d = 0
+        for d, v in enumerate((1.0, *self.sym.a), start=-1):
+            cols = rows + self.k - d
+            ok = (cols >= 0) & (cols < self.n)
+            mat[rows[ok], cols[ok]] = v
+        cols = rows + self.k
+        ok = cols < self.n
+        mat[rows[ok], cols[ok]] -= lam
         return mat
 
     def det(self, lam: complex) -> complex:

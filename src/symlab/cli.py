@@ -153,7 +153,7 @@ def _density_fn(sym, name: str):
         return lambda x: s_density(sym, j, x, struct)
     if kind == "mu":
         return lambda x: mu_density(sym, j, x, struct)
-    sigma = build_system(sym).sigma[j - 1]
+    sigma = build_system(sym, struct).sigma[j - 1]
     return lambda x: float(np.real(sigma.density(np.array([x]))[0]))
 
 
@@ -168,8 +168,9 @@ def cmd_density(sym, args) -> int:
 def cmd_spectrum(sym, args) -> int:
     if not 0 <= args.k <= sym.p - 1:
         raise ConfigError(f"need 0 <= k <= p-1 = {sym.p - 1}")
-    sys_ = build_system(sym) if args.k >= 1 else None
-    rep = gen_spectrum(sym, args.n, args.k, sys=sys_)
+    struct = critical_structure(sym)
+    sys_ = build_system(sym, struct) if args.k >= 1 else None
+    rep = gen_spectrum(sym, args.n, args.k, struct=struct, sys=sys_)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",

@@ -141,7 +141,8 @@ def _sigma_moment(sig: MeasureHandle, m: int) -> float:
     return float(np.real(res.value))
 
 
-def build_system(sym: SymbolCoeffs) -> NikishinSystem:
+def build_system(sym: SymbolCoeffs,
+                 struct: CriticalStructure | None = None) -> NikishinSystem:
     """Assemble rho, sigma, mu and the mixing constants for one symbol.
 
     The constants c_{j,k} solve the moment equations
@@ -150,7 +151,7 @@ def build_system(sym: SymbolCoeffs) -> NikishinSystem:
     band moment functionals.
     """
     p = sym.p
-    struct = critical_structure(sym)
+    struct = struct or critical_structure(sym)
     rho = [rho_measure(sym, j, struct) for j in range(1, p + 1)]
     sigma = _sigma_chain(rho)
     mu = [_mu_measure(sym, k, struct) for k in range(1, p + 1)]

@@ -9,11 +9,14 @@ Zeros are located by induction on n: interlacing guarantees exactly one
 zero of Q_{n+1} strictly between consecutive points of
 {alpha, zeros(Q_n), beta}, so bracketed bisection plus one Newton step
 is provably convergent and needs no eigensolver.  The bisection is the
-shared sign-only `rootfind.bisect`.
+shared sign-only `rootfind.bisect`.  `zeros_Q_levels` yields every level
+of that induction, the zeros of Q_1, ..., Q_n in turn, and `zeros_Q` is
+its last level.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,12 +157,16 @@ def eval_Q_with_derivative(sym: SymbolCoeffs, n: int, lam):
     return cur, dcur
 
 
-def zeros_Q(
+def zeros_Q_levels(
     sym: SymbolCoeffs,
     n: int,
     struct: CriticalStructure | None = None,
-) -> np.ndarray:
-    """Sorted zeros of Q_n inside Gamma_1, by interlacing induction."""
+) -> Iterator[np.ndarray]:
+    """Sorted zeros of Q_1, ..., Q_n inside Gamma_1, one level per step.
+
+    Each level's zeros bracket the next level's, so one pass yields
+    every degree up to n at the cost of the last.
+    """
     struct = struct or critical_structure(sym)
     g1 = struct.cut(1)
     alpha, beta = g1.lo, g1.hi
@@ -184,4 +191,16 @@ def zeros_Q(
             step = np.where(df != 0.0, f / df, 0.0)
         step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
         zeros = np.sort(mid - step)
+        yield zeros
+
+
+def zeros_Q(
+    sym: SymbolCoeffs,
+    n: int,
+    struct: CriticalStructure | None = None,
+) -> np.ndarray:
+    """Sorted zeros of Q_n inside Gamma_1: the last level of `zeros_Q_levels`."""
+    zeros = np.empty(0)
+    for zeros in zeros_Q_levels(sym, n, struct):
+        pass
     return zeros

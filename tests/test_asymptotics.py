@@ -142,6 +142,24 @@ def test_first_shifted_section_is_constant(can):
     assert sec.det(-30.0) == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 19, 59])
+@pytest.mark.parametrize("lam", [3.7, 2 + 0.5j])
+def test_section_matrix_entries(can, n, lam):
+    # entry (i, j) = a_{i+k-j} with a_{-1} = 1, minus lam where i + k = j
+    k = 1
+    coef = {-1: 1.0, **dict(enumerate(can.a))}
+    want = np.zeros((n, n), dtype=np.result_type(float, lam))
+    for i in range(n):
+        for j in range(n):
+            want[i, j] = coef.get(i + k - j, 0.0)
+            if i + k == j:
+                want[i, j] -= lam
+    got = ToeplitzSection(n=n, k=k, sym=can).matrix(lam)
+    assert got.dtype == want.dtype
+    # byte equality also pins the sign of every zero imaginary part
+    assert got.tobytes() == want.tobytes()
+
+
 def test_section_determinant_complex(can):
     sec = ToeplitzSection(n=4, k=1, sym=can)
     v = sec.det(-12.0 + 1.0j)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symlab import (
+    build_system,
     gen_Q,
     integrate,
     moments,
@@ -73,6 +74,20 @@ def test_sigma_chain_masses(can_sys):
     # the second chain measure carries mass 4/3 = |c_21|
     assert integrate(can_sys.sigma[1]).value == pytest.approx(4.0 / 3.0, abs=1e-7)
     assert can_sys.sigma[1].name == "<rho_1,rho_2>"
+
+
+@pytest.mark.parametrize("name", ["cheb", "can"])
+def test_build_system_reuses_given_structure(name, request):
+    sym = request.getfixturevalue(name)
+    struct = request.getfixturevalue(f"{name}_struct")
+    own = request.getfixturevalue(f"{name}_sys")
+    shared = build_system(sym, struct)
+    assert shared.struct is struct
+    assert np.array_equal(shared.c, own.c)
+    g1 = struct.cut(1)
+    xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
+    for a, b in zip(shared.sigma + shared.mu, own.sigma + own.mu):
+        assert np.array_equal(a.density(xs), b.density(xs))
 
 
 def test_c_matrix(can_sys):

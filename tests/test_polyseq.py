@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,10 @@ from symlab import (
     gen_companion,
     multi_index,
     zeros_Q,
+    zeros_Q_levels,
 )
+from symlab.errors import InterlacingViolation
+from symlab.symbol import Cut
 
 # Exact coefficient rows for (0,7,3) from the three-term-plus band recurrence
 # lam Q_n = Q_{n+1} + 7 Q_{n-1} + 3 Q_{n-2}, seeded Q_0 = 1, Q_1 = lam.
@@ -98,17 +102,53 @@ def test_multi_index_properties(n, p):
     assert all(comp[i] >= comp[i + 1] for i in range(p - 1))
 
 
-def test_zeros_chebyshev_closed_form(cheb):
+@pytest.fixture(scope="module")
+def small():
+    # a small-scale symbol: Q_n is tiny there, so products of two values
+    # underflow; zeros are a0 + 2 sqrt(a1) cos(k pi/(n+1)) on [-0.02, 0.02]
+    return build_symbol(1, (0.0, 1e-4))
+
+
+@pytest.fixture(scope="module")
+def small_levels(small):
+    # zeros of Q_1..Q_150, index m-1 for degree m, from one induction pass
+    return list(zeros_Q_levels(small, 150))
+
+
+def test_zeros_chebyshev_closed_form(cheb, small_levels):
     for n in (4, 9, 17):
         zs = zeros_Q(cheb, n)
         want = np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
         np.testing.assert_allclose(zs, want, atol=1e-13)
-    # a small-scale symbol: Q_n is tiny there, so products of two values
-    # underflow; zeros are a0 + 2 sqrt(a1) cos(k pi/(n+1)) on [-0.02, 0.02]
-    small = build_symbol(1, (0.0, 1e-4))
     for n in (80, 90, 150):
         want = 0.02 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
-        np.testing.assert_allclose(zeros_Q(small, n), want, rtol=0, atol=1e-12 * 0.04)
+        np.testing.assert_allclose(small_levels[n - 1], want, rtol=0, atol=1e-12 * 0.04)
+
+
+def test_zeros_levels_match_zeros_Q(can, small, small_levels):
+    levels = list(zeros_Q_levels(can, 25))
+    assert len(levels) == 25
+    for m in (1, 2, 13, 25):
+        assert np.array_equal(levels[m - 1], zeros_Q(can, m))
+    for m in (80, 150):
+        assert np.array_equal(small_levels[m - 1], zeros_Q(small, m))
+
+
+def test_zeros_Q_degree_zero_is_empty(can):
+    zs = zeros_Q(can, 0)
+    assert isinstance(zs, np.ndarray) and zs.shape == (0,)
+    assert list(zeros_Q_levels(can, 0)) == []
+
+
+def test_zeros_levels_raise_on_broken_bracket(cheb, cheb_struct):
+    # on [-0.9, 0.9] the brackets hold up to Q_5; cos(pi/7) > 0.9, so the
+    # outer brackets of level 6 hold no zero of Q_6
+    narrow = replace(cheb_struct, cuts=(Cut(1, -0.9, 0.9),))
+    levels = zeros_Q_levels(cheb, 10, narrow)
+    for m in range(1, 6):
+        assert next(levels).size == m
+    with pytest.raises(InterlacingViolation, match="Q_6 does not change sign"):
+        next(levels)
 
 
 def test_zeros_canonical_frozen(can):
@@ -119,15 +159,16 @@ def test_zeros_canonical_frozen(can):
 
 def test_zeros_inside_cut_and_interlace(can, can_struct):
     g1 = can_struct.cut(1)
-    prev = zeros_Q(can, 1, can_struct)
-    for n in range(2, 26):
-        zs = zeros_Q(can, n, can_struct)
+    levels = zeros_Q_levels(can, 25, can_struct)
+    prev = next(levels)
+    for n, zs in enumerate(levels, start=2):
         assert zs.size == n
         assert np.all(np.diff(zs) > 0)
         assert zs[0] > g1.lo and zs[-1] < g1.hi
         # strict interlacing with the previous degree
         assert np.all(prev > zs[:-1]) and np.all(prev < zs[1:])
         prev = zs
+    assert prev.size == 25
 
 
 def test_companion_polys_sum_rows(can):
