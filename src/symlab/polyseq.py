@@ -9,9 +9,10 @@ Zeros are located by induction on n: interlacing guarantees exactly one
 zero of Q_{n+1} strictly between consecutive points of
 {alpha, zeros(Q_n), beta}, so bracketed bisection plus one Newton step
 is provably convergent and needs no eigensolver.  The bisection is the
-shared sign-only `rootfind.bisect`.  `zeros_Q_levels` yields every level
-of that induction, the zeros of Q_1, ..., Q_n in turn, and `zeros_Q` is
-its last level.
+shared sign-only `rootfind.bisect`, four steps per `eval_Q` pass; it and
+the bracket-sign check read values only, Q_n' is for the Newton step.
+`zeros_Q_levels` yields every level of that induction, the zeros of
+Q_1, ..., Q_n in turn, and `zeros_Q` is its last level.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 from .errors import InterlacingViolation
 from .rootfind import bisect
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
+
+_BISECT_PER_CALL = 4  # zeros_Q_levels' steps per pass; 3 ties, 2 and 6 are slower
 
 
 @dataclass(frozen=True)
@@ -128,33 +131,36 @@ def moments(sym: SymbolCoeffs, j: int, m_max: int) -> list[Fraction]:
     return out
 
 
+def _recurrence(sym: SymbolCoeffs, n: int, lam, derivative: bool):
+    """(Q_n, Q_n' or None) in np.result_type(lam, float): real input stays
+    real (the cheap path zero finding lives on), complex stays complex."""
+    lam = np.asarray(lam)
+    lam = lam.astype(np.result_type(lam, float), copy=False)
+    shift = lam - sym.a[0]
+    hist = [np.zeros_like(lam) for _ in range(sym.p)]
+    dhist = list(hist)
+    cur = np.ones_like(lam)
+    dcur = np.zeros_like(lam) if derivative else None
+    for _ in range(n):
+        nxt = shift * cur
+        dnxt = cur + shift * dcur if derivative else None
+        for k in range(1, sym.p + 1):
+            nxt = nxt - sym.a[k] * hist[k - 1]
+            if derivative:
+                dnxt = dnxt - sym.a[k] * dhist[k - 1]
+        hist, dhist = [cur] + hist[:-1], [dcur] + dhist[:-1]
+        cur, dcur = nxt, dnxt
+    return cur, dcur
+
+
 def eval_Q(sym: SymbolCoeffs, n: int, lam):
     """Q_n(lam) through the value-domain recurrence; scalar or array."""
-    return eval_Q_with_derivative(sym, n, lam)[0][()]
+    return _recurrence(sym, n, lam, derivative=False)[0][()]
 
 
 def eval_Q_with_derivative(sym: SymbolCoeffs, n: int, lam):
-    """(Q_n, Q_n') jointly by the value-domain recurrence.
-
-    Runs in np.result_type(lam, float): real input stays real (the cheap
-    path that zero finding lives on) and complex input stays complex.
-    """
-    lam = np.asarray(lam)
-    lam = lam.astype(np.result_type(lam, float), copy=False)
-    hist = [np.zeros_like(lam) for _ in range(sym.p)]
-    dhist = [np.zeros_like(lam) for _ in range(sym.p)]
-    cur = np.ones_like(lam)
-    dcur = np.zeros_like(lam)
-    for _ in range(n):
-        nxt = (lam - sym.a[0]) * cur
-        dnxt = cur + (lam - sym.a[0]) * dcur
-        for k in range(1, sym.p + 1):
-            nxt = nxt - sym.a[k] * hist[k - 1]
-            dnxt = dnxt - sym.a[k] * dhist[k - 1]
-        hist = [cur] + hist[:-1]
-        dhist = [dcur] + dhist[:-1]
-        cur, dcur = nxt, dnxt
-    return cur, dcur
+    """(Q_n, Q_n') jointly; Q_n is bit for bit `eval_Q`'s."""
+    return _recurrence(sym, n, lam, derivative=True)
 
 
 def zeros_Q_levels(
@@ -165,7 +171,8 @@ def zeros_Q_levels(
     """Sorted zeros of Q_1, ..., Q_n inside Gamma_1, one level per step.
 
     Each level's zeros bracket the next level's, so one pass yields
-    every degree up to n at the cost of the last.
+    every degree up to n at the cost of the last.  A level is 14 passes:
+    sign check, 48 bisection steps four to a pass, one Newton step.
     """
     struct = struct or critical_structure(sym)
     g1 = struct.cut(1)
@@ -173,7 +180,7 @@ def zeros_Q_levels(
     zeros = np.empty(0)
     for m in range(1, n + 1):
         nodes = np.concatenate(([alpha], zeros, [beta]))
-        signs = np.sign(eval_Q_with_derivative(sym, m, nodes)[0])
+        signs = np.sign(eval_Q(sym, m, nodes))
         # signs, not products of values: on a small-scale symbol Q_m is
         # tiny enough for a product of two values to underflow to 0
         flat = signs[:-1] * signs[1:] >= 0.0
@@ -183,8 +190,8 @@ def zeros_Q_levels(
                 f"Q_{m} does not change sign on bracket "
                 f"[{nodes[i]:.8g}, {nodes[i + 1]:.8g}]"
             )
-        lo, hi = bisect(lambda x: eval_Q_with_derivative(sym, m, x)[0],
-                        nodes[:-1], nodes[1:], signs[:-1], 48)
+        lo, hi = bisect(lambda x: eval_Q(sym, m, x), nodes[:-1], nodes[1:],
+                        signs[:-1], 48, per_call=_BISECT_PER_CALL)
         mid = 0.5 * (lo + hi)
         f, df = eval_Q_with_derivative(sym, m, mid)
         with np.errstate(divide="ignore", invalid="ignore"):

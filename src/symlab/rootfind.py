@@ -141,18 +141,38 @@ def roots_single(coeffs: np.ndarray) -> np.ndarray:
 
 
 def bisect(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
-           steps: int) -> tuple[np.ndarray, np.ndarray]:
+           steps: int, per_call: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Narrow brackets [lo, hi] around sign changes of a vectorized f.
 
     `sign_lo` is np.sign(f(lo)), which the caller already holds.  Only
     signs are compared, never products of values, so tiny magnitudes
     cannot underflow into a false "no change".  An exact zero at a
     midpoint collapses its bracket there.  Returns the final (lo, hi).
+
+    With per_call = d > 1, f takes the 2^d - 1 midpoints the next d steps
+    could visit, shape (2^d - 1, *lo.shape) in heap order (row j halves
+    into rows 2j + 1 and 2j + 2), and d must divide `steps`; the result
+    is bit for bit that of d single steps.
     """
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        s = np.sign(f(mid))
-        same = s == sign_lo
-        lo = np.where(same | (s == 0.0), mid, lo)
-        hi = np.where(same, hi, mid)
+    if steps % per_call:
+        raise ValueError(f"per_call={per_call} does not divide steps={steps}")
+    for _ in range(steps // per_call):
+        levels, blo, bhi = [], lo[None], hi[None]
+        for _ in range(per_call):
+            mid = 0.5 * (blo + bhi)
+            levels.append(mid)
+            rows = (2 * len(mid), *lo.shape)
+            blo = np.stack((blo, mid), axis=1).reshape(rows)
+            bhi = np.stack((mid, bhi), axis=1).reshape(rows)
+        tree = np.concatenate(levels)
+        signs = np.sign(f(tree if per_call > 1 else tree[0])).reshape(tree.shape)
+        node = np.zeros(lo.shape, dtype=np.intp)
+        for _ in range(per_call):
+            # a collapsed bracket (lo == hi) stays put whatever s reads
+            mid = 0.5 * (lo + hi)
+            s = np.take_along_axis(signs, node[None], axis=0)[0]
+            same = s == sign_lo
+            lo = np.where(same | (s == 0.0), mid, lo)
+            hi = np.where(same, hi, mid)
+            node = 2 * node + 1 + same
     return lo, hi

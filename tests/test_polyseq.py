@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ def test_eval_Q_desk_values(can):
     assert eval_Q(can, 8, 10 + 5j) == pytest.approx(-117523003 - 155987670j, rel=1e-13)
 
 
-def test_eval_Q_with_derivative(can):
+def test_eval_Q_with_derivative(can, cheb):
     v, dv = eval_Q_with_derivative(can, 8, 2.5)
     assert v == pytest.approx(-219.38671875, rel=1e-13)
     assert dv == pytest.approx(7824.75, rel=1e-12)
@@ -66,6 +67,17 @@ def test_eval_Q_with_derivative(can):
     assert v == eval_Q(can, 8, lam)
     num = (eval_Q(can, 8, lam + h) - eval_Q(can, 8, lam - h)) / (2 * h)
     assert dv == pytest.approx(num, rel=1e-7)
+    # eval_Q runs the same recurrence without the derivative: bit for bit
+    # the value part, on p = 1, 2, 3 and real, complex and 2-D input
+    x = np.linspace(-12.0, 12.0, 37)
+    inputs = (x, x + 0.7j * x[::-1], x[:36].reshape(6, 6), 2.5)
+    for sym in (cheb, can, build_symbol(3, (0.0, 9.99, 6.545, 0.74))):
+        for n in (0, 1, 2, 7, 31):
+            for lam in inputs:
+                got = np.asarray(eval_Q(sym, n, lam))
+                want = np.asarray(eval_Q_with_derivative(sym, n, lam)[0])
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_chebyshev_scaling(cheb):
@@ -132,6 +144,17 @@ def test_zeros_levels_match_zeros_Q(can, small, small_levels):
         assert np.array_equal(levels[m - 1], zeros_Q(can, m))
     for m in (80, 150):
         assert np.array_equal(small_levels[m - 1], zeros_Q(small, m))
+
+
+def test_zeros_Q_pinned_bits(can, small):
+    # sha256 of the zeros' bytes as computed by 48 single bisection steps
+    # over the full recurrence; a last-bit drift in any zero changes them
+    pins = (
+        (can, 60, "3f0c813adde7ebf54d1f5bda893f1968f953efc7e66fbdac41dd36986fca604b"),
+        (small, 90, "5eadc854958c0755a655ba4b41d6cc61a1236dce52ae514f315e33595fe33418"),
+    )
+    for sym, n, digest in pins:
+        assert hashlib.sha256(zeros_Q(sym, n).tobytes()).hexdigest() == digest
 
 
 def test_zeros_Q_degree_zero_is_empty(can):
