@@ -48,13 +48,35 @@ _LOG_FLOOR = math.log(1e-14) - 34.0
 
 # ---- Widom closed forms ----
 
-def _widom_terms(z: np.ndarray, l: int, powers: np.ndarray) -> complex:
-    """sum over j of powers[j] / prod_{k != j}(z[k] - z[j]) on the tail z[l:]."""
-    sub = z[l:]
-    total = 0.0 + 0.0j
-    for j in range(sub.size):
-        diff = np.delete(sub, j) - sub[j]
-        total += powers[j] / np.prod(diff) if diff.size else powers[j]
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y rounded as numpy's complex scalars round it.
+
+    Array complex multiplication may fuse a product into the sum (FMA)
+    and so differ in the last bit from the scalar product; four real
+    products and two sums, each rounded, match the scalar exactly.
+    """
+    out = np.empty_like(x)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _widom_terms(z: np.ndarray, l: int, powers: np.ndarray) -> np.ndarray:
+    """Per row, sum over j of powers[j - l] / prod_{k != j}(z[k] - z[j]), j, k >= l.
+
+    z holds one branch tuple per row, shape (m, p + 1), and powers the
+    matching (m, p + 1 - l).  Each row's product runs over increasing k
+    and its sum adds increasing j to 0, as a scalar loop would.
+    """
+    total = np.zeros(z.shape[0], dtype=complex)
+    for j in range(l, z.shape[1]):
+        prod = None
+        for k in range(l, z.shape[1]):
+            if k != j:
+                diff = z[:, k] - z[:, j]
+                prod = diff if prod is None else _cmul(prod, diff)
+        term = powers[:, j - l]
+        total = total + (term if prod is None else term / prod)
     return total
 
 
@@ -78,7 +100,7 @@ def widom_psi(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex:
     z = np.asarray(solve_branches(sym, lam).z)
     _tie_guard(z, l)
     powers = z[l:] ** (-(n + 1))
-    return _prefactor(sym) * _widom_terms(z, l, powers)
+    return _prefactor(sym) * _widom_terms(z[None], l, powers[None])[0]
 
 
 def widom_psi_scaled(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex:
@@ -88,7 +110,7 @@ def widom_psi_scaled(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex
     z = np.asarray(solve_branches(sym, lam).z)
     _tie_guard(z, l)
     powers = (z[l] / z[l:]) ** (n + 1)
-    return _prefactor(sym) * _widom_terms(z, l, powers)
+    return _prefactor(sym) * _widom_terms(z[None], l, powers[None])[0]
 
 
 @dataclass
@@ -334,12 +356,9 @@ def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
     pref = _prefactor(sym)
 
     def scaled(xs: np.ndarray) -> np.ndarray:
-        roots = solve_grid(sym, np.asarray(xs, dtype=float))
-        out = np.empty(len(xs))
-        for i, z in enumerate(roots):
-            powers = (np.abs(z[1]) / z[1:]) ** (n + 1)
-            out[i] = float((pref * _widom_terms(z, 1, powers)).real)
-        return out
+        z = solve_grid(sym, np.asarray(xs, dtype=float))
+        powers = (np.abs(z[:, 1:2]) / z[:, 1:]) ** (n + 1)
+        return (pref * _widom_terms(z, 1, powers)).real
 
     return _scan_ray(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InterlacingViolation
+from .errors import InterlacingViolation, NonFinite
 from .rootfind import bisect
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
 
@@ -163,6 +163,15 @@ def eval_Q_with_derivative(sym: SymbolCoeffs, n: int, lam):
     return _recurrence(sym, n, lam, derivative=True)
 
 
+def _finite_Q(m: int, vals: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """`vals`, once it and `more` are finite: past the float range the
+    signs of Q_m read inf or nan, and a zero bisected on them lands
+    anywhere in its bracket."""
+    if not all(np.isfinite(v).all() for v in (vals, *more)):
+        raise NonFinite(f"Q_{m} left the float range on Gamma_1")
+    return vals
+
+
 def zeros_Q_levels(
     sym: SymbolCoeffs,
     n: int,
@@ -173,6 +182,8 @@ def zeros_Q_levels(
     Each level's zeros bracket the next level's, so one pass yields
     every degree up to n at the cost of the last.  A level is 14 passes:
     sign check, 48 bisection steps four to a pass, one Newton step.
+    Q_m grows like (cut width / 4)^m; a level that reads a value past
+    the float range raises `NonFinite` instead of trusting its signs.
     """
     struct = struct or critical_structure(sym)
     g1 = struct.cut(1)
@@ -180,7 +191,7 @@ def zeros_Q_levels(
     zeros = np.empty(0)
     for m in range(1, n + 1):
         nodes = np.concatenate(([alpha], zeros, [beta]))
-        signs = np.sign(eval_Q(sym, m, nodes))
+        signs = np.sign(_finite_Q(m, eval_Q(sym, m, nodes)))
         # signs, not products of values: on a small-scale symbol Q_m is
         # tiny enough for a product of two values to underflow to 0
         flat = signs[:-1] * signs[1:] >= 0.0
@@ -190,10 +201,12 @@ def zeros_Q_levels(
                 f"Q_{m} does not change sign on bracket "
                 f"[{nodes[i]:.8g}, {nodes[i + 1]:.8g}]"
             )
-        lo, hi = bisect(lambda x: eval_Q(sym, m, x), nodes[:-1], nodes[1:],
-                        signs[:-1], 48, per_call=_BISECT_PER_CALL)
+        lo, hi = bisect(lambda x: _finite_Q(m, eval_Q(sym, m, x)),
+                        nodes[:-1], nodes[1:], signs[:-1], 48,
+                        per_call=_BISECT_PER_CALL)
         mid = 0.5 * (lo + hi)
         f, df = eval_Q_with_derivative(sym, m, mid)
+        _finite_Q(m, f, df)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(df != 0.0, f / df, 0.0)
         step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)

@@ -21,6 +21,7 @@ metadata for far-tail nodes whose declared contribution is negligible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,17 +36,13 @@ _H0 = 0.5
 _DEFAULT_MAX_LEVEL = 10
 _NEAR_CUT_FACTOR = 1e-3
 
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=32)  # rules and integrals use levels 0..13
 def _ts_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma, 1-sigma, dsigma/dt) at the nodes first appearing at `level`.
 
     Level 0 is the full grid of spacing _H0; level L > 0 adds the odd
-    multiples of _H0 / 2^L.
+    multiples of _H0 / 2^L.  Cached per level, so the arrays are read-only.
     """
-    if level in _node_cache:
-        return _node_cache[level]
     h = _H0 / 2 ** level
     if level == 0:
         k_max = int(math.floor(_T_MAX / h))
@@ -63,8 +60,9 @@ def _ts_new_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # dsigma/dt = pi*cosh(t) / (4*cosh(y)^2); cosh(y)^2 = (e^y+e^-y)^2/4
     sech2 = 4.0 * e / (1.0 + e) ** 2
     dsig = 0.25 * np.pi * np.cosh(t) * sech2
-    _node_cache[level] = (sig, omsig, dsig)
-    return _node_cache[level]
+    for arr in (sig, omsig, dsig):
+        arr.flags.writeable = False
+    return sig, omsig, dsig
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The workhorse is an Aberth-Ehrlich iteration vectorized over a batch of
 polynomials that share one degree.  Initial points follow Bini's
 convex-hull radii so that widely separated root moduli (the normal
 situation here: one root ~ 1/lambda, the rest ~ lambda^(1/p)) are seeded
-on the right circles from the start.
+on the right circles from the start.  The seeding, like the iteration,
+is whole-batch array work: one hull pass over all rows, no Python loop
+per row.
 
 `bisect` is the one real-root refiner: every caller (zeros of Q_n,
 section determinants, second-type zeros) holds sign-change brackets and
@@ -20,56 +22,56 @@ from .errors import ConvergenceFailure, NonFinite
 _MAX_ITER = 60
 
 
-def _bini_radii(coeffs: np.ndarray) -> np.ndarray:
-    """Initial moduli for one coefficient row (low to high degree).
-
-    Uses the upper convex hull of (i, log|c_i|).  Returns an array of
-    length deg with one radius per initial point.
-    """
-    deg = coeffs.shape[0] - 1
-    mags = np.abs(coeffs)
-    logm = np.full(deg + 1, -np.inf)
-    nz = mags > 0.0
-    logm[nz] = np.log(mags[nz])
-
-    # Andrew monotone chain, upper hull only.
-    hull = [0]
-    for i in range(1, deg + 1):
-        if not np.isfinite(logm[i]):
-            continue
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # keep turn clockwise: point i1 above segment (i0, i)
-            if (logm[i1] - logm[i0]) * (i - i0) >= (logm[i] - logm[i0]) * (i1 - i0):
-                break
-            hull.pop()
-        hull.append(i)
-
-    radii = np.empty(deg)
-    pos = 0
-    for a, b in zip(hull[:-1], hull[1:]):
-        r = np.exp((logm[a] - logm[b]) / (b - a))
-        radii[pos:pos + (b - a)] = r
-        pos += b - a
-    return radii
-
-
 def _seed(coeffs: np.ndarray) -> np.ndarray:
-    """Starting points for the whole batch, shape (m, deg)."""
+    """Starting points for the whole batch, shape (m, deg).
+
+    Bini's radii: per row, the upper convex hull of (i, log|c_i|), run as
+    one Andrew monotone chain over all rows (a stack of hull indices per
+    row, popped where the new point lies on or above the last segment).
+    The deg roots are split among the hull edges (a, b), b - a of them on
+    the circle |z| = (|c_a| / |c_b|)^(1/(b-a)).
+    """
     m, n1 = coeffs.shape
     deg = n1 - 1
-    out = np.empty((m, deg), dtype=complex)
+    with np.errstate(divide="ignore"):
+        logm = np.log(np.abs(coeffs))  # log 0 = -inf: skipped below
+    rows = np.arange(m)
+    hull = np.zeros((m, n1), dtype=np.intp)
+    size = np.ones(m, dtype=np.intp)
+    for i in range(1, n1):
+        li = logm[:, i]
+        live = np.isfinite(li)
+        while True:
+            i0, i1 = hull[rows, size - 2], hull[rows, size - 1]
+            l0, l1 = logm[rows, i0], logm[rows, i1]
+            with np.errstate(invalid="ignore"):
+                # keep turn clockwise: point i1 above segment (i0, i)
+                keep = (l1 - l0) * (i - i0) >= (li - l0) * (i1 - i0)
+            pop = live & (size >= 2) & ~keep
+            if not pop.any():
+                break
+            size -= pop
+        hull[live, size[live]] = i
+        size += live
+
+    # root t sits on hull edge e, from a = hull[e] <= t to b = hull[e + 1] > t
+    on = np.zeros((m, n1), dtype=bool)
+    r, k = np.nonzero(np.arange(n1) < size[:, None])
+    on[r, hull[r, k]] = True
+    e = np.cumsum(on, axis=1)[:, :deg] - 1
+    row = rows[:, None]
+    a, b = hull[row, e], hull[row, e + 1]
+    radii = np.exp((logm[row, a] - logm[row, b]) / (b - a))
     # golden-angle phase spread breaks conjugate symmetry deadlocks
     base = np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.79))
-    for i in range(m):
-        out[i] = _bini_radii(coeffs[i]) * base
-    return out
+    return radii * base
 
 
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate p(z) and p'(z); coeffs (m, n+1) low-to-high, z (m, deg)."""
     n = coeffs.shape[1] - 1
-    p = np.broadcast_to(coeffs[:, n:n + 1], z.shape).astype(complex).copy()
+    p = np.empty_like(z)
+    p[...] = coeffs[:, n:n + 1]
     dp = np.zeros_like(z)
     for k in range(n - 1, -1, -1):
         dp = dp * z + p
@@ -156,23 +158,29 @@ def bisect(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
     """
     if steps % per_call:
         raise ValueError(f"per_call={per_call} does not divide steps={steps}")
+    # brackets run flat, column c of every tree level belonging to bracket c
+    shape = lo.shape
+    lo, hi, sign_lo = np.ravel(lo), np.ravel(hi), np.ravel(sign_lo)
+    cols = np.arange(lo.size)
     for _ in range(steps // per_call):
         levels, blo, bhi = [], lo[None], hi[None]
-        for _ in range(per_call):
+        for depth in range(per_call):
             mid = 0.5 * (blo + bhi)
             levels.append(mid)
-            rows = (2 * len(mid), *lo.shape)
-            blo = np.stack((blo, mid), axis=1).reshape(rows)
-            bhi = np.stack((mid, bhi), axis=1).reshape(rows)
+            if depth + 1 < per_call:  # the last level's children go unread
+                rows = (2 * len(mid), lo.size)
+                blo = np.stack((blo, mid), axis=1).reshape(rows)
+                bhi = np.stack((mid, bhi), axis=1).reshape(rows)
         tree = np.concatenate(levels)
-        signs = np.sign(f(tree if per_call > 1 else tree[0])).reshape(tree.shape)
-        node = np.zeros(lo.shape, dtype=np.intp)
+        x = tree.reshape(len(tree), *shape) if per_call > 1 else tree.reshape(shape)
+        signs = np.sign(f(x)).reshape(tree.shape)
+        node = np.zeros(lo.size, dtype=np.intp)
         for _ in range(per_call):
             # a collapsed bracket (lo == hi) stays put whatever s reads
             mid = 0.5 * (lo + hi)
-            s = np.take_along_axis(signs, node[None], axis=0)[0]
+            s = signs[node, cols]
             same = s == sign_lo
             lo = np.where(same | (s == 0.0), mid, lo)
             hi = np.where(same, hi, mid)
             node = 2 * node + 1 + same
-    return lo, hi
+    return lo.reshape(shape), hi.reshape(shape)

@@ -21,7 +21,8 @@ from symlab import (
     zeros_Q,
     bnk,
 )
-from symlab.asymptotics import ToeplitzSection
+from symlab.asymptotics import ToeplitzSection, _prefactor, _widom_terms
+from symlab.branches import solve_grid
 from symlab.errors import TailDivergence
 
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j]
@@ -43,6 +44,36 @@ def test_widom_top_level_closed_form(can):
             z2 = solve_branches(can, lam).z[2]
             want = -1.0 / (3.0 * z2 ** (n + 1))
             assert widom_psi(can, n, 2, lam) == pytest.approx(want, rel=1e-12)
+
+
+def _widom_terms_reference(z, l, powers):
+    """One row's Widom sum by the scalar loop: np.delete, np.prod, +=."""
+    sub = z[l:]
+    total = 0.0 + 0.0j
+    for j in range(sub.size):
+        diff = np.delete(sub, j) - sub[j]
+        total += powers[j] / np.prod(diff) if diff.size else powers[j]
+    return total
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.25), (0.0, 7.0, 3.0), (0.0, 9.99, 6.545, 0.74)])
+def test_widom_terms_match_row_loop(coeffs):
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    lams = np.array([*PROBES, -31.5, -2.25, 0.375, 12.0, 80.0])
+    z = solve_grid(sym, lams)
+    for l in range(sym.p + 1):
+        for n in (0, 1, 8, 40):
+            for powers in (z[:, l:] ** (-(n + 1)),
+                           (np.abs(z[:, l:l + 1]) / z[:, l:]) ** (n + 1)):
+                got = _widom_terms(z, l, powers)
+                want = np.array([_widom_terms_reference(z[i], l, powers[i])
+                                 for i in range(len(lams))])
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for lam in PROBES:
+                zl = np.asarray(solve_branches(sym, lam).z)
+                powers = zl[l:] ** (-(n + 1))
+                want = _prefactor(sym) * _widom_terms_reference(zl, l, powers)
+                assert np.complex128(widom_psi(sym, n, l, lam)).tobytes() == want.tobytes()
 
 
 def test_widom_scaled_finite_at_large_n(can):

@@ -133,6 +133,13 @@ def test_exit_codes(capsys):
     assert json.loads(err)["error"]["type"] == "ZeroLeadingCoefficient"
 
 
+def test_zeros_past_float_range_exits_nonfinite(capsys):
+    # Q_n of (0, 1e4) overflows at n = 153; wrong zeros must not exit 0
+    code, out, err = run_cli(["zeros", "--coeffs", "0,10000", "--n", "200"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "NonFinite"
+
+
 def test_internal_error_is_not_config_error(monkeypatch):
     # a ValueError from inside the library is a bug, not a usage error
     def broken(*args, **kwargs):

@@ -16,7 +16,7 @@ from symlab import (
     zeros_Q,
     zeros_Q_levels,
 )
-from symlab.errors import InterlacingViolation
+from symlab.errors import InterlacingViolation, NonFinite
 from symlab.symbol import Cut
 
 # Exact coefficient rows for (0,7,3) from the three-term-plus band recurrence
@@ -135,6 +135,20 @@ def test_zeros_chebyshev_closed_form(cheb, small_levels):
     for n in (80, 90, 150):
         want = 0.02 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
         np.testing.assert_allclose(small_levels[n - 1], want, rtol=0, atol=1e-12 * 0.04)
+
+
+def test_zeros_large_scale_until_overflow():
+    # (0, 1e4): zeros 200 cos(k pi/(n+1)) on [-200, 200], and Q_m at the cut
+    # ends grows like 100^m, past the float range at m = 153
+    big = build_symbol(1, (0.0, 1e4))
+    levels = []
+    with pytest.raises(NonFinite, match="Q_153"):
+        for zeros in zeros_Q_levels(big, 200):
+            levels.append(zeros)
+    assert len(levels) == 152
+    n = 150
+    want = 200.0 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+    np.testing.assert_allclose(levels[n - 1], want, rtol=0, atol=1e-12 * 400.0)
 
 
 def test_zeros_levels_match_zeros_Q(can, small, small_levels):

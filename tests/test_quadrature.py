@@ -13,6 +13,7 @@ from symlab import (
     rule_apply,
     s_measure,
 )
+from symlab.quadrature import _ts_new_nodes
 from symlab.symbol import Cut
 
 
@@ -111,3 +112,15 @@ def test_scaled_interval_masses(c):
         finite_mass=True,
     )
     assert integrate(m).value == pytest.approx(c, rel=1e-11)
+
+
+def test_node_levels_cached_read_only():
+    for level in (0, 1, 7, 13):
+        first, again = _ts_new_nodes(level), _ts_new_nodes(level)
+        for a, b in zip(first, again):
+            assert a is b and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        _ts_new_nodes.cache_clear()
+        for a, b in zip(first, _ts_new_nodes(level)):
+            assert a.tobytes() == b.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symlab.rootfind import bisect
+from symlab.rootfind import _seed, bisect
 
 
 def _run(f, lo, hi, steps, per_call):
@@ -71,3 +71,72 @@ def test_per_call_must_divide_steps():
     lo, hi = np.array([0.0]), np.array([3.0])
     with pytest.raises(ValueError, match="does not divide"):
         bisect(np.cos, lo, hi, np.sign(np.cos(lo)), 48, per_call=5)
+
+
+# ---- seeding: the batched hull against the per-row loop it replaced ----
+
+def _bini_radii_reference(coeffs):
+    """Bini radii of one row by a scalar monotone chain (upper hull only)."""
+    deg = coeffs.shape[0] - 1
+    mags = np.abs(coeffs)
+    logm = np.full(deg + 1, -np.inf)
+    nz = mags > 0.0
+    logm[nz] = np.log(mags[nz])
+    hull = [0]
+    for i in range(1, deg + 1):
+        if not np.isfinite(logm[i]):
+            continue
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            if (logm[i1] - logm[i0]) * (i - i0) >= (logm[i] - logm[i0]) * (i1 - i0):
+                break
+            hull.pop()
+        hull.append(i)
+    radii = np.empty(deg)
+    pos = 0
+    for a, b in zip(hull[:-1], hull[1:]):
+        radii[pos:pos + (b - a)] = np.exp((logm[a] - logm[b]) / (b - a))
+        pos += b - a
+    return radii
+
+
+def _seed_reference(coeffs):
+    m, n1 = coeffs.shape
+    deg = n1 - 1
+    out = np.empty((m, deg), dtype=complex)
+    base = np.exp(1j * (2.0 * np.pi * np.arange(deg) / deg + 0.79))
+    for i in range(m):
+        out[i] = _bini_radii_reference(coeffs[i]) * base
+    return out
+
+
+def _random_rows(rng, m, deg):
+    """Complex rows, monic, with zero coefficients and moduli over 1e+-20."""
+    shape = (m, deg + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c *= 10.0 ** rng.uniform(-20.0, 20.0, shape)
+    c[rng.random(shape) < 0.3] = 0.0
+    c[: m // 4, 0] = 0.0  # zero constant term: a root at 0
+    c[:, -1] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("deg", range(1, 7))
+def test_seed_matches_per_row_hull(deg):
+    rng = np.random.default_rng(deg)
+    for m in (0, 1, 2, 7, 64):
+        for _ in range(10):
+            c = _random_rows(rng, m, deg)
+            got, want = _seed(c), _seed_reference(c)
+            assert got.shape == want.shape == (m, deg) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    # every interior coefficient zero: the hull is the one edge (0, deg)
+    c = np.zeros((3, deg + 1), dtype=complex)
+    c[:, 0], c[:, -1] = [1.0, 1e-20, 1e20], 1.0
+    assert _seed(c).tobytes() == _seed_reference(c).tobytes()
+    # the hull shapes the circles: z^deg - 1e20 z^(deg-1) has roots 0 and
+    # 1e20, and the seeds start on those two radii
+    c = np.zeros((1, deg + 1), dtype=complex)
+    c[0, -2:] = -1e20, 1.0
+    radii = np.abs(_seed(c)[0])
+    assert radii[-1] == pytest.approx(1e20) and np.all(radii[:-1] == 0.0)
