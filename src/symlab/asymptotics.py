@@ -81,11 +81,12 @@ def _widom_terms(z: np.ndarray, l: int, powers: np.ndarray) -> np.ndarray:
 
 
 def _tie_guard(z: np.ndarray, l: int) -> None:
-    sub = z[l:]
-    if sub.size < 2:
+    """Raise if two of z_l..z_p nearly meet in any row of z, shape (m, p + 1)."""
+    sub = z[:, l:]
+    if sub.shape[1] < 2:
         return
-    diffs = np.abs(sub[:, None] - sub[None, :]) + np.eye(sub.size)
-    if diffs.min() < 1e-8 * (1.0 + np.abs(sub).max()):
+    diffs = np.abs(sub[:, :, None] - sub[:, None, :]) + np.eye(sub.shape[1])
+    if np.any(diffs.min(axis=(1, 2)) < 1e-8 * (1.0 + np.abs(sub).max(axis=1))):
         raise NearBranchPoint("participating branches nearly collide")
 
 
@@ -93,14 +94,20 @@ def _prefactor(sym: SymbolCoeffs) -> float:
     return (-1.0) ** (sym.p + 1) / sym.a[sym.p]
 
 
-def widom_psi(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex:
-    """Psi_{n,l}(lam) from the branch values alone."""
+def widom_psi(sym: SymbolCoeffs, n: int, l: int, lam):
+    """Psi_{n,l}(lam) from the branch values alone.
+
+    An array lam is solved in one batch and gives the array of values;
+    a scalar lam gives a scalar.
+    """
     if not 0 <= l <= sym.p:
         raise ValueError("need 0 <= l <= p")
-    z = np.asarray(solve_branches(sym, lam).z)
+    z = solve_grid(sym, lam)
     _tie_guard(z, l)
-    powers = z[l:] ** (-(n + 1))
-    return _prefactor(sym) * _widom_terms(z[None], l, powers[None])[0]
+    terms = _widom_terms(z, l, z[:, l:] ** (-(n + 1)))
+    if np.ndim(lam) == 0:
+        return _prefactor(sym) * terms[0]
+    return (_prefactor(sym) * terms).reshape(np.shape(lam))
 
 
 def widom_psi_scaled(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex:
@@ -108,7 +115,7 @@ def widom_psi_scaled(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex
     if not 0 <= l <= sym.p:
         raise ValueError("need 0 <= l <= p")
     z = np.asarray(solve_branches(sym, lam).z)
-    _tie_guard(z, l)
+    _tie_guard(z[None], l)
     powers = (z[l] / z[l:]) ** (n + 1)
     return _prefactor(sym) * _widom_terms(z[None], l, powers[None])[0]
 
@@ -127,7 +134,7 @@ def strong_limit_check(sym: SymbolCoeffs, l: int, lam: complex, n_range) -> Stro
     is for the last n and decays like |z_l / z_{l+1}|^n.
     """
     z = np.asarray(solve_branches(sym, lam).z)
-    _tie_guard(z, l)
+    _tie_guard(z[None], l)
     tail = np.prod(z[l + 1 :] - z[l]) if l < sym.p else 1.0
     limit = _prefactor(sym) / tail
     values = np.array([widom_psi_scaled(sym, int(n), l, lam) for n in n_range])
@@ -214,25 +221,39 @@ class ToeplitzSection:
     k: int
     sym: SymbolCoeffs
 
-    def matrix(self, lam: complex) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=np.result_type(float, lam))
+    def _stack(self, lams: np.ndarray) -> np.ndarray:
+        """The matrices at a 1-d array of lambda, shape (m, n, n)."""
+        mats = np.zeros((lams.size, self.n, self.n), dtype=np.result_type(float, lams))
         rows = np.arange(self.n)
         # fill the p + 2 diagonals d = i + k - j = -1..p, then shift d = 0
         for d, v in enumerate((1.0, *self.sym.a), start=-1):
             cols = rows + self.k - d
             ok = (cols >= 0) & (cols < self.n)
-            mat[rows[ok], cols[ok]] = v
+            mats[:, rows[ok], cols[ok]] = v
         cols = rows + self.k
         ok = cols < self.n
-        mat[rows[ok], cols[ok]] -= lam
-        return mat
+        mats[:, rows[ok], cols[ok]] -= lams[:, None]
+        return mats
 
-    def det(self, lam: complex) -> complex:
+    def matrix(self, lam: complex) -> np.ndarray:
+        return self._stack(np.asarray([lam]))[0]
+
+    def det(self, lam):
+        """P(lam) = det `matrix(lam)`: a float or complex at a scalar lam,
+        the array of values at an array of lam.  Arrays are factored as
+        stacked matrices, a block of about 2^20 entries per slogdet."""
+        lams = np.asarray(lam)
         if self.n == 0:
-            return 1.0
-        sign, logdet = np.linalg.slogdet(self.matrix(lam))
-        val = sign * np.exp(logdet)
-        return float(val.real) if np.isrealobj(val) else complex(val)
+            return 1.0 if lams.ndim == 0 else np.ones(lams.shape)
+        flat = lams.reshape(-1)
+        out = np.empty(flat.shape, dtype=np.result_type(float, flat))
+        step = max(1, 2 ** 20 // self.n ** 2)
+        for s in range(0, flat.size, step):
+            sign, logdet = np.linalg.slogdet(self._stack(flat[s : s + step]))
+            out[s : s + step] = sign * np.exp(logdet)
+        if lams.ndim:
+            return out.reshape(lams.shape)
+        return float(out[0].real) if np.isrealobj(out) else complex(out[0])
 
 
 @dataclass
@@ -275,12 +296,8 @@ def gen_spectrum(sym: SymbolCoeffs, n: int, k: int,
         roots = zeros_Q(sym, n, struct)
         return SpectrumReport(k=0, n=n, roots=roots,
                               hausdorff_to_cut=_hausdorff(roots, struct.cut(1)))
-    section = ToeplitzSection(n=n - k, k=k, sym=sym)
+    det = ToeplitzSection(n=n - k, k=k, sym=sym).det
     cut = struct.cut(k + 1)
-
-    def det(xs: np.ndarray) -> np.ndarray:
-        return np.array([section.det(v) for v in xs])
-
     if k == 1:
         psis = psi_zeros(sym, sys, n, struct=struct)
         # P_{n,1} has degree <= 0 for n <= 1: no roots, not -1 of them
@@ -313,12 +330,14 @@ def _grid_size(inner: float, outer: float) -> int:
     return min(3200, max(600, 90 * int(math.log10(outer / inner) + 1)))
 
 
-def _scan_ray(f, cut, inner: float, want: int | None = None) -> np.ndarray:
+def _scan_ray(f, cut, inner: float, want: int | None = None,
+              per_call: int = 1) -> np.ndarray:
     """Sorted sign-change roots of a vectorized f on a ray cut.
 
     Scans a log grid from `inner` out to a radius that doubles until the
     outermost sign change sits well inside it (and, when `want` is
-    given, exactly `want` changes are seen), then bisects each bracket.
+    given, exactly `want` changes are seen), then bisects each bracket,
+    `per_call` steps per call of f.
     """
     outer = 4.0 * cut.scale()
     for _ in range(24):
@@ -329,7 +348,7 @@ def _scan_ray(f, cut, inner: float, want: int | None = None) -> np.ndarray:
             raise CountMismatch(f"found {idx.size} zeros, expected {want}")
         inside = idx.size > 0 and abs(grid[idx[0]] - cut.finite_end) < 0.8 * outer
         if inside and (want is None or idx.size == want):
-            lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60)
+            lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60, per_call)
             return np.sort(0.5 * (lo + hi))
         outer *= 2.0
     raise CountMismatch(f"roots on Gamma_{cut.index} did not stabilize")
@@ -360,7 +379,9 @@ def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
         powers = (np.abs(z[:, 1:2]) / z[:, 1:]) ** (n + 1)
         return (pref * _widom_terms(z, 1, powers)).real
 
-    return _scan_ray(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want)
+    # four steps per root solve: its cost is per call more than per row
+    return _scan_ray(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want,
+                     per_call=4)
 
 
 def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) -> complex:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .quadrature import MeasureHandle, cauchy_transform
 from .rootfind import roots_batched
-from .symbol import CriticalStructure, Cut, SymbolCoeffs, critical_structure, eval_symbol
+from .symbol import CriticalStructure, Cut, SymbolCoeffs, _eval_a, critical_structure, eval_symbol
 
 _TIE_TOL = 1e-9
 
@@ -73,7 +73,7 @@ def solve_grid(sym: SymbolCoeffs, lams) -> np.ndarray:
     # lexicographic (modulus, real, imag) for a deterministic order
     order = np.lexsort((roots.imag, roots.real, np.abs(roots)), axis=1)
     roots = np.take_along_axis(roots, order, axis=1)
-    res = np.abs(eval_symbol(sym, roots)[0] - lams[:, None])
+    res = np.abs(_eval_a(sym, roots) - lams[:, None])
     bad = res > 1e-10 * (1.0 + np.abs(lams))[:, None]
     if bad.any():
         i = int(np.argwhere(bad)[0][0])
@@ -201,7 +201,7 @@ def s_density(sym: SymbolCoeffs, k: int, x, struct: CriticalStructure | None = N
     struct = struct or critical_structure(sym)
     cut = struct.cut(k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not all(cut.contains_interior(float(v)) for v in xs):
+    if not np.all(cut.contains_interior(xs)):
         raise NotInCut(f"point outside interior of cut {k}")
     zp = np.conj(pair_minus(sym, k, xs, struct))
     out = (1.0 / eval_symbol(sym, zp)[2] / zp).imag / np.pi
@@ -213,7 +213,7 @@ def rho_density(sym: SymbolCoeffs, j: int, x, struct: CriticalStructure | None =
     struct = struct or critical_structure(sym)
     cut = struct.cut(j)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not all(cut.contains_interior(float(v)) for v in xs):
+    if not np.all(cut.contains_interior(xs)):
         raise NotInCut(f"point outside interior of cut {j}")
     zm = pair_minus(sym, j, xs, struct)
     if j == 1:

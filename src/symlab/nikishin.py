@@ -59,7 +59,12 @@ def product_measure(
 
     def dens(x):
         xa = np.asarray(x, dtype=float)
-        hat = (w / (xa[..., None] - t)).sum(axis=-1)
+        flat = xa.reshape(-1)
+        # rows of <= 512 points bound the (x, t) matrix on long node sets
+        hat = np.concatenate([
+            (w / (flat[s : s + 512, None] - t)).sum(axis=-1)
+            for s in range(0, max(flat.size, 1), 512)
+        ]).reshape(xa.shape)
         val = (xa - lam_next) * hat * beta_j.density(xa)
         return val if xa.ndim else float(val)
 

@@ -190,27 +190,30 @@ def zeros_Q_levels(
     alpha, beta = g1.lo, g1.hi
     zeros = np.empty(0)
     for m in range(1, n + 1):
-        nodes = np.concatenate(([alpha], zeros, [beta]))
-        signs = np.sign(_finite_Q(m, eval_Q(sym, m, nodes)))
-        # signs, not products of values: on a small-scale symbol Q_m is
-        # tiny enough for a product of two values to underflow to 0
-        flat = signs[:-1] * signs[1:] >= 0.0
-        if np.any(flat):
-            i = int(np.argwhere(flat)[0][0])
-            raise InterlacingViolation(
-                f"Q_{m} does not change sign on bracket "
-                f"[{nodes[i]:.8g}, {nodes[i + 1]:.8g}]"
-            )
-        lo, hi = bisect(lambda x: _finite_Q(m, eval_Q(sym, m, x)),
-                        nodes[:-1], nodes[1:], signs[:-1], 48,
-                        per_call=_BISECT_PER_CALL)
-        mid = 0.5 * (lo + hi)
-        f, df = eval_Q_with_derivative(sym, m, mid)
-        _finite_Q(m, f, df)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(df != 0.0, f / df, 0.0)
-        step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
-        zeros = np.sort(mid - step)
+        # overflow is reported by _finite_Q as NonFinite, not by numpy;
+        # the state is set per level, never held across a yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = np.concatenate(([alpha], zeros, [beta]))
+            signs = np.sign(_finite_Q(m, eval_Q(sym, m, nodes)))
+            # signs, not products of values: on a small-scale symbol Q_m is
+            # tiny enough for a product of two values to underflow to 0
+            flat = signs[:-1] * signs[1:] >= 0.0
+            if np.any(flat):
+                i = int(np.argwhere(flat)[0][0])
+                raise InterlacingViolation(
+                    f"Q_{m} does not change sign on bracket "
+                    f"[{nodes[i]:.8g}, {nodes[i + 1]:.8g}]"
+                )
+            lo, hi = bisect(lambda x: _finite_Q(m, eval_Q(sym, m, x)),
+                            nodes[:-1], nodes[1:], signs[:-1], 48,
+                            per_call=_BISECT_PER_CALL)
+            mid = 0.5 * (lo + hi)
+            f, df = eval_Q_with_derivative(sym, m, mid)
+            _finite_Q(m, f, df)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(df != 0.0, f / df, 0.0)
+            step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
+            zeros = np.sort(mid - step)
         yield zeros
 
 

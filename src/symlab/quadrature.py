@@ -73,7 +73,9 @@ class MeasureHandle:
     the (lo, hi) endpoints; a slot facing an infinite end is ignored.
     tail_exponent is the power-law degree of the density at infinity for
     rays, None for intervals.  finite_mass records whether f = 1 is
-    integrable.  The density callable must accept numpy arrays.
+    integrable.  The density callable must accept numpy arrays and be
+    pointwise: its value at x must not depend on the other points in the
+    call, since rules and sums evaluate several levels' nodes at once.
     """
 
     cut: Cut
@@ -153,9 +155,18 @@ def _sum_piece(
     evals = 0
     prev = None
     log_floor = math.log(abs_tol) - 32.0
+    # levels 0-2 always run (the first convergence test is at level 2),
+    # so their nodes share one density call
+    first = [piece.nodes(level, scale) for level in range(min(3, max_level + 1))]
+    dens = np.split(density(np.concatenate([x for x, _ in first])),
+                    np.cumsum([x.size for x, _ in first])[:-1])
     for level in range(0, max_level + 1):
-        x, jac = piece.nodes(level, scale)
-        w = density(x) * jac
+        if level < len(first):
+            (x, jac), d = first[level], dens[level]
+        else:
+            x, jac = piece.nodes(level, scale)
+            d = density(x)
+        w = d * jac
         w = np.where(np.isfinite(w), w, 0.0)
         if f is None:
             fv = np.ones_like(x)
@@ -361,21 +372,16 @@ class FixedRule:
 
 def build_fixed_rule(m: MeasureHandle, level: int = 7) -> FixedRule:
     piece = _pieces_for(m)[0]
-    scale = m.cut.scale()
-    xs, ws, marks = [], [], []
-    for lv in range(0, level + 1):
-        x, jac = piece.nodes(lv, scale)
-        w = m.density(x) * jac
-        w = np.where(np.isfinite(w), w, 0.0)
-        h = _H0 / 2 ** level
-        # node first appearing at level lv carries fine-grid weight h;
-        # those also on the coarse grid (lv <= level-1) are marked.
-        xs.append(x)
-        ws.append(w * h)
-        marks.append(np.full(x.shape, lv <= level - 1))
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    coarse = np.concatenate(marks)
+    parts = [piece.nodes(lv, m.cut.scale()) for lv in range(0, level + 1)]
+    # one density call over every level's nodes
+    x = np.concatenate([x for x, _ in parts])
+    w = m.density(x) * np.concatenate([jac for _, jac in parts])
+    w = np.where(np.isfinite(w), w, 0.0)
+    # every node carries fine-grid weight h; those first appearing at a
+    # level lv <= level-1 are also on the coarse grid and are marked.
+    w = w * (_H0 / 2 ** level)
+    coarse = np.concatenate([np.full(x.shape, lv <= level - 1)
+                             for lv, (x, _) in enumerate(parts)])
     keep = w != 0.0
     x, w, coarse = x[keep], w[keep], coarse[keep]
     with np.errstate(divide="ignore"):

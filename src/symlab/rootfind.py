@@ -6,7 +6,9 @@ convex-hull radii so that widely separated root moduli (the normal
 situation here: one root ~ 1/lambda, the rest ~ lambda^(1/p)) are seeded
 on the right circles from the start.  The seeding, like the iteration,
 is whole-batch array work: one hull pass over all rows, no Python loop
-per row.
+per row.  Rows are independent: a row's roots are bit for bit the same
+whatever rows share its batch and wherever it sits, so callers should
+hand over every polynomial they already know in one call.
 
 `bisect` is the one real-root refiner: every caller (zeros of Q_n,
 section determinants, second-type zeros) holds sign-change brackets and

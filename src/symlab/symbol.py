@@ -63,8 +63,9 @@ class Cut:
     def scale(self) -> float:
         return max(1.0, *(abs(e) for e in self.endpoints()))
 
-    def contains_interior(self, x: float, margin: float = 0.0) -> bool:
-        return self.lo + margin < x < self.hi - margin
+    def contains_interior(self, x, margin: float = 0.0):
+        """Whether x lies strictly inside; elementwise for an array x."""
+        return (self.lo + margin < x) & (x < self.hi - margin)
 
     def distance(self, lam: complex) -> float:
         """Euclidean distance from a complex point to the cut."""
@@ -113,22 +114,27 @@ def build_symbol(p: int, a) -> SymbolCoeffs:
     return SymbolCoeffs(p=p, a=a)
 
 
-def eval_symbol(sym: SymbolCoeffs, z):
-    """Return (a(z), r(z), a'(z), r'(z)) at a scalar or array argument."""
-    z = np.asarray(z)
+def _eval_a(sym: SymbolCoeffs, z: np.ndarray):
+    """a(z) alone, by Horner on a_0..a_p plus the 1/z term."""
     if np.any(z == 0):
         raise DivisionAtZero("symbol has a pole at z = 0")
     a = np.zeros_like(z, dtype=complex) if np.iscomplexobj(z) else np.zeros_like(z, dtype=float)
     for c in reversed(sym.a):
         a = a * z + c
-    da = np.zeros_like(a)
+    return a + 1.0 / z
+
+
+def eval_symbol(sym: SymbolCoeffs, z):
+    """Return (a(z), r(z), a'(z), r'(z)) at a scalar or array argument."""
+    z = np.asarray(z)
+    az = _eval_a(sym, z)
+    da = np.zeros_like(az)
     for k in range(sym.p, 0, -1):
         da = da * z + k * sym.a[k]
-    az = a + 1.0 / z
     daz = da - 1.0 / z ** 2
     w = 1.0 / z
-    r = np.zeros_like(a)
-    dr = np.zeros_like(a)
+    r = np.zeros_like(az)
+    dr = np.zeros_like(az)
     for c in reversed(sym.a):
         dr = dr * w + r
         r = r * w + c

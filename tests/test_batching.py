@@ -1,0 +1,227 @@
+"""Batched calls are bit for bit the calls they replace.
+
+Densities, Widom sums and section determinants are evaluated on every
+point a caller already knows in one call.  That is exact because each
+row of a root solve, and each stacked determinant, does not depend on
+the rest of its batch.  Each test keeps the former one-call-per-piece
+code as its reference and compares bytes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from symlab import (
+    build_fixed_rule,
+    build_symbol,
+    critical_structure,
+    integrate,
+    rho_measure,
+    s_measure,
+    widom_psi,
+)
+from symlab.asymptotics import ToeplitzSection
+from symlab.branches import solve_grid
+from symlab.cubic import CubicParams
+from symlab.errors import NoConvergence, NonIntegrable, SymlabError
+from symlab.quadrature import _H0, _check_integrable, _pieces_for
+from symlab.verify import check_cubic
+
+SYMBOLS = [(0.0, 0.25), (0.0, 7.0, 3.0), (0.0, 9.99, 6.545, 0.74)]
+PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j, 0.375 + 1e-9j, -31.5, 80.0]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _cut_nodes(sym, levels=4):
+    """Tanh-sinh nodes of every cut, as the densities meet them, plus probes."""
+    struct = critical_structure(sym)
+    xs = []
+    for k in range(1, sym.p + 1):
+        piece = _pieces_for(s_measure(sym, k, struct))[0]
+        for lv in range(levels):
+            xs.append(piece.nodes(lv, struct.cut(k).scale())[0])
+    return np.concatenate([*xs, PROBES])
+
+
+def _solve_alone(sym, lam):
+    try:
+        return solve_grid(sym, [lam])[0]
+    except SymlabError:
+        return None
+
+
+@pytest.mark.parametrize("coeffs", SYMBOLS)
+def test_solve_grid_rows_ignore_their_batch(coeffs):
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    lams = _cut_nodes(sym)
+    alone = [_solve_alone(sym, lam) for lam in lams]
+    ok = np.array([z is not None for z in alone])
+    # a row that fails alone fails any batch it joins: on the p = 3 symbol,
+    # the ray nodes past 1e49 (a known far-tail defect of the branch solve)
+    for lam in lams[~ok]:
+        with pytest.raises(SymlabError):
+            solve_grid(sym, np.concatenate([lams[ok][:5], [lam]]))
+    assert ok.sum() > 0.99 * lams.size
+    lams = lams[ok]
+    whole = solve_grid(sym, lams)
+    _same_bits(np.array([z for z in alone if z is not None]), whole)
+    perm = np.random.default_rng(3).permutation(lams.size)
+    _same_bits(solve_grid(sym, lams[perm]), whole[perm])
+    for size in (3, 7, 512):
+        parts = [solve_grid(sym, lams[s:s + size]) for s in range(0, lams.size, size)]
+        _same_bits(np.concatenate(parts), whole)
+
+
+def _fixed_rule_reference(m, level):
+    """build_fixed_rule with one density call per level."""
+    piece = _pieces_for(m)[0]
+    scale = m.cut.scale()
+    xs, ws, marks = [], [], []
+    for lv in range(0, level + 1):
+        x, jac = piece.nodes(lv, scale)
+        w = m.density(x) * jac
+        w = np.where(np.isfinite(w), w, 0.0)
+        h = _H0 / 2 ** level
+        xs.append(x)
+        ws.append(w * h)
+        marks.append(np.full(x.shape, lv <= level - 1))
+    x, w, coarse = np.concatenate(xs), np.concatenate(ws), np.concatenate(marks)
+    keep = w != 0.0
+    x, w, coarse = x[keep], w[keep], coarse[keep]
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(w))
+    logx = np.log(np.maximum(np.abs(x), 1.0))
+    return x, w, coarse, logw, logx
+
+
+def _measures(can, can_struct, can_sys):
+    # rho_1 on the interval, sigma_2 a product measure, s_2 on the ray
+    return [rho_measure(can, 1, can_struct), can_sys.sigma[1],
+            s_measure(can, 2, can_struct)]
+
+
+def test_fixed_rule_one_density_call(can, can_struct, can_sys):
+    for m in _measures(can, can_struct, can_sys):
+        for level in (0, 3, 7):
+            rule = build_fixed_rule(m, level=level)
+            want = _fixed_rule_reference(m, level)
+            for got, ref in zip((rule.x, rule.w, rule.coarse, rule.logw, rule.logx), want):
+                _same_bits(got, ref)
+
+
+def _sum_piece_reference(piece, density, f, f_tail_degree, rel_tol, abs_tol,
+                         max_level, scale):
+    """The adaptive tanh-sinh sum with one density call per level."""
+    total, evals, prev = 0.0 + 0.0j, 0, None
+    log_floor = math.log(abs_tol) - 32.0
+    for level in range(0, max_level + 1):
+        x, jac = piece.nodes(level, scale)
+        w = density(x) * jac
+        w = np.where(np.isfinite(w), w, 0.0)
+        if f is None:
+            fv = np.ones_like(x)
+        else:
+            absw = np.abs(w)
+            with np.errstate(divide="ignore"):
+                logc = np.log(np.where(absw > 0, absw, 1e-320))
+            logc = logc + f_tail_degree * np.log(np.maximum(np.abs(x), 1.0))
+            keep = (absw > 0) & (logc > log_floor)
+            fv = np.zeros(x.shape, dtype=complex)
+            if keep.any():
+                fv[keep] = f(x[keep])
+            w = np.where(keep, w, 0.0)
+        evals += x.size
+        terms = w * fv
+        terms = np.where(np.isfinite(terms), terms, 0.0)
+        h = _H0 / 2 ** level
+        total = h * terms.sum() if level == 0 else 0.5 * total + h * terms.sum()
+        if level >= 2 and prev is not None:
+            err = abs(total - prev)
+            if err <= max(rel_tol * abs(total), abs_tol):
+                return total, err, level, evals
+        prev = total
+    err = abs(total - prev) if prev is not None else math.inf
+    if err <= max(10.0 * rel_tol * abs(total), 10.0 * abs_tol):
+        return total, err, max_level, evals
+    raise NoConvergence("reference stalled")
+
+
+def _integrate_reference(m, f=None, f_tail_degree=0.0, max_level=10):
+    _check_integrable(m, f_tail_degree)
+    value, err, levels, evals = _sum_piece_reference(
+        _pieces_for(m)[0], m.density, f, f_tail_degree, 1e-10, 1e-14,
+        max_level, m.cut.scale())
+    return (value.real if abs(value.imag) == 0.0 else value), err, levels, evals
+
+
+def test_integrate_levels_0_to_2_in_one_call(can, can_struct, can_sys):
+    cases = [(None, 0.0), (lambda x: x * x, 2.0), (lambda x: 1.0 / (30.0 - x), -1.0)]
+    for m in _measures(can, can_struct, can_sys):
+        for f, deg in cases:
+            for max_level in (1, 2, 10):  # fewer than three levels, exactly three, more
+                try:
+                    want = _integrate_reference(m, f, deg, max_level)
+                except (NoConvergence, NonIntegrable) as exc:
+                    with pytest.raises(type(exc)):
+                        integrate(m, f, f_tail_degree=deg, max_level=max_level)
+                    continue
+                got = integrate(m, f, f_tail_degree=deg, max_level=max_level)
+                _same_bits(got.value, want[0])
+                assert (got.error, got.levels, got.evals) == want[1:]
+
+
+@pytest.mark.parametrize("coeffs", SYMBOLS)
+def test_widom_psi_array_matches_points(coeffs):
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    lams = np.array(PROBES, dtype=complex)
+    for l in range(sym.p + 1):
+        for n in (0, 1, 8, 20):
+            got = widom_psi(sym, n, l, lams)
+            _same_bits(got, np.array([widom_psi(sym, n, l, lam) for lam in lams]))
+            _same_bits(widom_psi(sym, n, l, lams.reshape(7, 1)), got.reshape(7, 1))
+    assert np.ndim(widom_psi(sym, 3, 0, PROBES[0])) == 0
+    assert widom_psi(sym, 3, 0, np.array([], dtype=complex)).shape == (0,)
+
+
+def _det_reference(sec, lam):
+    """ToeplitzSection.det of one lambda: one 2-d slogdet."""
+    if sec.n == 0:
+        return 1.0
+    sign, logdet = np.linalg.slogdet(sec.matrix(lam))
+    val = sign * np.exp(logdet)
+    return float(val.real) if np.isrealobj(val) else complex(val)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 30, 59])
+def test_section_det_array_matches_points(can, n):
+    rng = np.random.default_rng(n)
+    real = rng.uniform(-40.0, 20.0, 997)  # 997 > one block of 59 x 59 matrices
+    cplx = real[:50] + 1j * rng.uniform(-5.0, 5.0, 50)
+    sec = ToeplitzSection(n=n, k=1, sym=can)
+    for lams in (real, cplx):
+        want = np.array([_det_reference(sec, v) for v in lams])
+        _same_bits(sec.det(lams), want)
+        _same_bits(sec.det(lams[:12].reshape(3, 4)), want[:12].reshape(3, 4))
+        for v, w in zip(lams[:5], want):
+            got = sec.det(v)
+            assert type(got) is type(_det_reference(sec, v))
+            _same_bits(got, w)
+    assert sec.det(np.array([])).shape == (0,)
+
+
+def test_section_det_degenerate_sizes(can):
+    # P_{n,1} at n <= 1 runs on no brackets at all: size 0 or -1 sections
+    assert ToeplitzSection(n=-1, k=1, sym=can).det(np.array([])).shape == (0,)
+    assert ToeplitzSection(n=0, k=1, sym=can).det(-3.0 + 1j) == 1.0
+    _same_bits(ToeplitzSection(n=0, k=1, sym=can).det(np.array([1.0, 2.0])), np.ones(2))
+
+
+def test_check_cubic_reuses_the_suite_structure(can_struct):
+    params = CubicParams(-2.0, -1.0)
+    assert check_cubic(params, can_struct) == check_cubic(params)

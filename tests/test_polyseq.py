@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -142,9 +143,14 @@ def test_zeros_large_scale_until_overflow():
     # ends grows like 100^m, past the float range at m = 153
     big = build_symbol(1, (0.0, 1e4))
     levels = []
-    with pytest.raises(NonFinite, match="Q_153"):
-        for zeros in zeros_Q_levels(big, 200):
-            levels.append(zeros)
+    # NonFinite is the only report: numpy's overflow warning stays silent,
+    # and its error state is restored between levels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="Q_153"):
+            for zeros in zeros_Q_levels(big, 200):
+                assert np.geterr()["over"] == "warn"
+                levels.append(zeros)
     assert len(levels) == 152
     n = 150
     want = 200.0 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))

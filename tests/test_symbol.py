@@ -11,7 +11,8 @@ from symlab import (
     eval_symbol,
     solve_branches,
 )
-from symlab.errors import ZeroLeadingCoefficient
+from symlab.errors import DivisionAtZero, ZeroLeadingCoefficient
+from symlab.symbol import _eval_a
 
 
 def test_build_symbol_rejects_zero_leading():
@@ -44,6 +45,57 @@ def test_cut_distance(can_struct):
     assert ray.distance(-2.0 + 4j) == pytest.approx(5.0)  # right of the end
     assert ray.distance(-100.0 - 2j) == 2.0  # below
     assert ray.distance(-8.0) == 0.0  # on it
+
+
+def test_contains_interior_elementwise(can_struct):
+    for cut in can_struct.cuts:
+        e = cut.finite_end if cut.is_ray else cut.lo
+        xs = np.array([e, np.nextafter(e, 0.0), e - 1.0, e + 1.0, 0.0, -1e300, 1e300,
+                       np.inf, -np.inf, np.nan, cut.scale()])
+        for margin in (0.0, 0.5):
+            # the scalar rule lo + margin < x < hi - margin, point by point
+            want = [cut.lo + margin < float(x) < cut.hi - margin for x in xs]
+            assert cut.contains_interior(xs, margin).tolist() == want
+            assert [bool(cut.contains_interior(float(x), margin)) for x in xs] == want
+
+
+def _eval_symbol_reference(sym, z):
+    """eval_symbol as one function, a(z) Horner inline."""
+    z = np.asarray(z)
+    a = np.zeros_like(z, dtype=complex) if np.iscomplexobj(z) else np.zeros_like(z, dtype=float)
+    for c in reversed(sym.a):
+        a = a * z + c
+    da = np.zeros_like(a)
+    for k in range(sym.p, 0, -1):
+        da = da * z + k * sym.a[k]
+    az = a + 1.0 / z
+    daz = da - 1.0 / z ** 2
+    w = 1.0 / z
+    r = np.zeros_like(a)
+    dr = np.zeros_like(a)
+    for c in reversed(sym.a):
+        dr = dr * w + r
+        r = r * w + c
+    rz = r + z
+    drz = 1.0 - dr / z ** 2
+    if np.ndim(z) == 0:
+        return az[()], rz[()], daz[()], drz[()]
+    return az, rz, daz, drz
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.25), (0.0, 7.0, 3.0), (0.0, 9.99, 6.545, 0.74)])
+def test_eval_symbol_bits_with_a_helper(coeffs):
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    rng = np.random.default_rng(5)
+    zc = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
+    zc *= 10.0 ** rng.uniform(-8, 8, (30, 3))
+    for z in (zc, zc.real, zc[0, 0], float(zc[0, 0].real)):
+        got, want = eval_symbol(sym, z), _eval_symbol_reference(sym, z)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert np.asarray(_eval_a(sym, np.asarray(z))).tobytes() == np.asarray(want[0]).tobytes()
+    with pytest.raises(DivisionAtZero):
+        _eval_a(sym, np.array([1.0, 0.0]))
 
 
 def test_critical_polynomial_roots_are_critical_points(can):
