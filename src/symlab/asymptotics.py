@@ -258,10 +258,14 @@ class ToeplitzSection:
 
 @dataclass
 class SpectrumReport:
+    """Zeros of P_{n,k}; for k = 1, `psi_zeros` are the zeros of Psi_{n,1}
+    that bracketed them (None for other k)."""
+
     k: int
     n: int
     roots: np.ndarray
     hausdorff_to_cut: float
+    psi_zeros: np.ndarray | None = None
 
 
 def _hausdorff(roots: np.ndarray, cut, samples: int = 512) -> float:
@@ -312,9 +316,10 @@ def gen_spectrum(sym: SymbolCoeffs, n: int, k: int,
         lo, hi = bisect(det, psis[:-1], psis[1:], signs[:-1], 60)
         roots = np.sort(0.5 * (lo + hi))
     else:
+        psis = None
         roots = _scan_ray(det, cut, 1e-6 * cut.scale())
     return SpectrumReport(k=k, n=n, roots=roots,
-                          hausdorff_to_cut=_hausdorff(roots, cut))
+                          hausdorff_to_cut=_hausdorff(roots, cut), psi_zeros=psis)
 
 
 def _ray_grid(cut, inner: float, outer: float, m: int) -> np.ndarray:

@@ -12,6 +12,12 @@ set is real except for the single conjugate pair (k-1, k), so one sign
 per cut (which pair member is the minus-side limit, kept on the
 `CriticalStructure`) resolves the boundary value from a direct
 real-coefficient solve.  The two routes are tested against each other.
+
+Every measure on cut k (rho_k, s_k, the flat weights, mu_k) reads the
+same z_{k-1,-}(x), and tanh-sinh nodes depend only on the cut, so
+`pair_minus` memoises its values per symbol and per cut on the
+`CriticalStructure`, keyed by the bit pattern of x (24 bytes per
+distinct node): each node of a cut is solved once for the symbol.
 """
 
 from __future__ import annotations
@@ -174,12 +180,43 @@ def pair_minus(
     xs: np.ndarray,
     struct: CriticalStructure,
 ) -> np.ndarray:
-    """z_{k-1,-}(x) on a grid inside cut k via the conjugate-pair shortcut.
+    """z_{k-1,-}(x) on a grid inside cut k, each node solved once per symbol.
+
+    Values come from `struct.pair_memo[k]`; only nodes not yet there are
+    solved (`_solve_pair_minus`), in one batch, and merged in.  Keys are
+    the bit patterns of x, so a hit is exactly the node solved before
+    (0.0 and -0.0 are distinct, NaN never matches), and since a row's
+    roots do not depend on its batch the values are those of a fresh solve.
+    """
+    xs = np.asarray(xs, dtype=float).ravel()
+    keys = xs.view(np.int64)
+    known, vals = struct.pair_memo.get(k, (keys[:0], np.empty(0, dtype=complex)))
+    pos = np.searchsorted(known, keys)
+    hit = np.zeros(keys.size, dtype=bool)
+    if known.size:
+        hit = known[np.minimum(pos, known.size - 1)] == keys
+    if not hit.all():
+        new = np.unique(keys[~hit])
+        at = np.searchsorted(known, new)
+        known = np.insert(known, at, new)
+        vals = np.insert(vals, at, _solve_pair_minus(sym, k, new.view(float), struct))
+        struct.pair_memo[k] = (known, vals)
+        pos = np.searchsorted(known, keys)
+    return vals[pos]
+
+
+def _solve_pair_minus(
+    sym: SymbolCoeffs,
+    k: int,
+    xs: np.ndarray,
+    struct: CriticalStructure,
+) -> np.ndarray:
+    """Solve z_{k-1,-}(x) via the conjugate-pair shortcut.
 
     At real x interior to cut k all branches are real except the tied
     pair (k-1, k); the cached minus-side imaginary sign picks the member.
+    Rows where the shortcut fails fall back to `boundary_values`.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
     sign = _minus_sign(sym, k, struct)
     roots = solve_grid(sym, xs)
     za, zb = roots[:, k - 1], roots[:, k]

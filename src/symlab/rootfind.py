@@ -85,24 +85,25 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
     """Roots of a batch of polynomials, shape (m, deg), unordered.
 
     `coeffs` has shape (m, deg+1), low degree first, complex or real.
-    Residuals are polished with up to 3 Newton steps and checked against
-    1e-10 * (1 + |root|) * scale of the polynomial.
+    Roots are polished with 3 Newton steps, and a root z is accepted when
+    |p(z)| <= 1e-10 * sum_k |c_k| |z|^k, a relative backward error of at
+    most 1e-10 in the coefficients; otherwise `ConvergenceFailure`.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     if not np.all(np.isfinite(coeffs)):
         raise NonFinite("polynomial coefficients must be finite")
-    m, n1 = coeffs.shape
-    deg = n1 - 1
+    m = coeffs.shape[0]
     lead = coeffs[:, -1]
     if np.any(np.abs(lead) == 0.0):
         raise ConvergenceFailure("leading coefficient vanished in root solve")
     monic = coeffs / lead[:, None]
 
     z = _seed(monic)
-    active = np.ones(m, dtype=bool)
+    # the rows still iterating, kept compacted; a row is written back to z
+    # when it stops moving
+    rows, za, ma = np.arange(m), z, monic
     for _ in range(_MAX_ITER):
-        za = z[active]
-        p, dp = _horner_pair(monic[active], za)
+        p, dp = _horner_pair(ma, za)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = p / dp
             diff = za[:, :, None] - za[:, None, :]
@@ -111,13 +112,14 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
             step = newton / (1.0 - newton * sums)
         step = np.where(np.isfinite(step), step, newton)
         step = np.where(np.isfinite(step), step, 0.0)
-        z[active] = za - step
-        moved = np.abs(step) > 1e-14 * (1.0 + np.abs(za))
-        still = moved.any(axis=1)
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-        if not active.any():
+        still = (np.abs(step) > 1e-14 * (1.0 + np.abs(za))).any(axis=1)
+        za = za - step
+        if not still.all():
+            z[rows[~still]] = za[~still]
+            rows, za, ma = rows[still], za[still], ma[still]
+        if not rows.size:
             break
+    z[rows] = za
 
     # Newton polish, full batch.
     for _ in range(3):
@@ -128,8 +130,9 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
         z = z - step
 
     p, _ = _horner_pair(monic, z)
-    scale = np.abs(monic).sum(axis=1, keepdims=True)
-    bad = np.abs(p) > 1e-10 * scale * np.maximum(1.0, np.abs(z)) ** deg
+    # backward-error scale: sum_k |c_k| |z|^k
+    scale, _ = _horner_pair(np.abs(monic), np.abs(z))
+    bad = np.abs(p) > 1e-10 * scale
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ConvergenceFailure(

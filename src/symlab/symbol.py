@@ -85,7 +85,11 @@ class CriticalStructure:
     points are negative, descending when p are positive.  `kinds[k]`
     ('min' or 'max') is defined for k = 2..p.  `minus_signs` holds, per
     cut k, the imaginary sign of the minus-side boundary value that
-    `branches.pair_minus` resolves once for this symbol.
+    `branches.pair_minus` resolves once for this symbol.  `pair_memo`
+    holds, per cut k, every z_{k-1,-}(x) that `pair_minus` has solved for
+    this symbol: two arrays sorted together by key, the int64 bit patterns
+    of the real nodes x and their values, 24 bytes per distinct node, kept
+    as long as the structure.  Neither field takes part in `==` or `repr`.
     """
 
     orientation: str  # "p_negative" | "p_positive"
@@ -94,6 +98,8 @@ class CriticalStructure:
     kinds: dict[int, str] = field(default_factory=dict)
     cuts: tuple[Cut, ...] = ()
     minus_signs: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
+    pair_memo: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def cut(self, k: int) -> Cut:
         return self.cuts[k - 1]

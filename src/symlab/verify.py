@@ -17,7 +17,6 @@ from .asymptotics import (
     counting_compare,
     gen_spectrum,
     hp_error_order,
-    psi_zeros,
     ratio_rate,
     widom_psi,
 )
@@ -249,7 +248,7 @@ def check_spectrum(sym: SymbolCoeffs, sys: NikishinSystem,
         if rep.roots.size != want:
             return CheckResult("gen_spectrum_ray", False, float(rep.roots.size),
                                float(want), f"count off at n={n}")
-        zs = psi_zeros(sym, sys, n, struct=struct)
+        zs = rep.psi_zeros
         if not all(zs[i] < rep.roots[i] < zs[i + 1] for i in range(want)):
             return CheckResult("gen_spectrum_ray", False, float(n), 0.0,
                                f"interlacing broken at n={n}")

@@ -130,7 +130,7 @@ def test_psi_zeros_count_matches_tail_index(can, can_sys):
 def test_gen_spectrum_k0_is_zeros(can):
     rep = gen_spectrum(can, 6, 0)
     np.testing.assert_array_equal(rep.roots, zeros_Q(can, 6))
-    assert rep.k == 0 and rep.n == 6
+    assert rep.k == 0 and rep.n == 6 and rep.psi_zeros is None
 
 
 def test_gen_spectrum_k1_frozen(can, can_struct, can_sys):
@@ -147,6 +147,7 @@ def test_gen_spectrum_k1_count_and_interlace(can, can_struct, can_sys):
         want = sum(multi_index(n, 2).components[1:]) - 1
         assert rep.roots.size == want
         zs = psi_zeros(can, can_sys, n, struct=can_struct)
+        assert rep.psi_zeros.tobytes() == zs.tobytes()  # the brackets it used
         # each root sits strictly between consecutive second-kind zeros
         for i, r in enumerate(rep.roots):
             assert zs[i] < r < zs[i + 1]

@@ -4,7 +4,9 @@ Densities, Widom sums and section determinants are evaluated on every
 point a caller already knows in one call.  That is exact because each
 row of a root solve, and each stacked determinant, does not depend on
 the rest of its batch.  Each test keeps the former one-call-per-piece
-code as its reference and compares bytes.
+code as its reference and compares bytes.  The same independence makes
+the `pair_minus` memo exact: its values are compared with direct solves
+on a fresh structure.
 """
 
 import math
@@ -15,18 +17,30 @@ import pytest
 from symlab import (
     build_fixed_rule,
     build_symbol,
+    build_system,
     critical_structure,
     integrate,
+    mu_density,
+    pair_minus,
+    rho_density,
     rho_measure,
+    s_density,
     s_measure,
     widom_psi,
 )
+from symlab import branches
 from symlab.asymptotics import ToeplitzSection
-from symlab.branches import solve_grid
+from symlab.branches import _solve_pair_minus, solve_grid
 from symlab.cubic import CubicParams
-from symlab.errors import NoConvergence, NonIntegrable, SymlabError
+from symlab.errors import NoConvergence, NonIntegrable, NotInCut, SymlabError
 from symlab.quadrature import _H0, _check_integrable, _pieces_for
-from symlab.verify import check_cubic
+from symlab.verify import (
+    check_cubic,
+    check_mass,
+    check_mu_moments,
+    check_orthogonality,
+    check_psi_p_closed_form,
+)
 
 SYMBOLS = [(0.0, 0.25), (0.0, 7.0, 3.0), (0.0, 9.99, 6.545, 0.74)]
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j, 0.375 + 1e-9j, -31.5, 80.0]
@@ -38,14 +52,18 @@ def _same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _nodes(sym, k, levels=4, struct=None):
+    """Tanh-sinh nodes of levels 0..levels-1 on cut k, as the densities meet them."""
+    struct = struct or critical_structure(sym)
+    piece = _pieces_for(s_measure(sym, k, struct))[0]
+    scale = struct.cut(k).scale()
+    return np.concatenate([piece.nodes(lv, scale)[0] for lv in range(levels)])
+
+
 def _cut_nodes(sym, levels=4):
-    """Tanh-sinh nodes of every cut, as the densities meet them, plus probes."""
+    """Tanh-sinh nodes of every cut plus probes."""
     struct = critical_structure(sym)
-    xs = []
-    for k in range(1, sym.p + 1):
-        piece = _pieces_for(s_measure(sym, k, struct))[0]
-        for lv in range(levels):
-            xs.append(piece.nodes(lv, struct.cut(k).scale())[0])
+    xs = [_nodes(sym, k, levels, struct) for k in range(1, sym.p + 1)]
     return np.concatenate([*xs, PROBES])
 
 
@@ -225,3 +243,137 @@ def test_section_det_degenerate_sizes(can):
 def test_check_cubic_reuses_the_suite_structure(can_struct):
     params = CubicParams(-2.0, -1.0)
     assert check_cubic(params, can_struct) == check_cubic(params)
+
+
+# ---- the pair_minus memo: each cut node solved once per symbol ----
+
+def _fresh(sym, k, xs):
+    """z_{k-1,-}(x) solved directly on a new structure, no memo involved."""
+    return _solve_pair_minus(sym, k, np.asarray(xs, dtype=float), critical_structure(sym))
+
+
+def _grid_rows(monkeypatch):
+    """Count the real-lambda rows branches.solve_grid is asked to solve."""
+    rows = []
+    orig = branches.solve_grid
+
+    def counted(sym, lams):
+        if np.isrealobj(lams):  # boundary_values passes complex x - i eps
+            rows.append(np.size(lams))
+        return orig(sym, lams)
+
+    monkeypatch.setattr(branches, "solve_grid", counted)
+    return rows
+
+
+@pytest.mark.parametrize("coeffs", SYMBOLS[:2])
+def test_warm_memo_matches_fresh_solves(coeffs):
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    warm = critical_structure(sym)
+    sys = build_system(sym, warm)
+    # every density the verify suite evaluates on a symbol's structure
+    checks = [check_mass(sym, warm), check_mu_moments(sym, sys),
+              check_orthogonality(sym, sys)]
+    if sym.p >= 2:
+        checks.append(check_psi_p_closed_form(sym, sys))
+    assert all(c.passed for c in checks)
+    assert sorted(warm.pair_memo) == list(range(1, sym.p + 1))
+    fresh = critical_structure(sym)
+    assert warm == fresh and repr(warm) == repr(fresh)
+    for k in range(1, sym.p + 1):
+        keys, vals = warm.pair_memo[k]
+        assert keys.dtype == np.int64 and vals.dtype == complex
+        assert np.all(np.diff(keys) > 0)
+        _same_bits(vals, _fresh(sym, k, keys.view(float)))
+        xs = _nodes(sym, k, levels=6)
+        _same_bits(pair_minus(sym, k, xs, warm), _fresh(sym, k, xs))
+        _same_bits(s_density(sym, k, xs, warm), s_density(sym, k, xs, critical_structure(sym)))
+        _same_bits(rho_density(sym, k, xs, warm),
+                   rho_density(sym, k, xs, critical_structure(sym)))
+    xs = _nodes(sym, 1, levels=6)
+    for m in range(1, sym.p + 1):
+        _same_bits(mu_density(sym, m, xs, warm), mu_density(sym, m, xs, critical_structure(sym)))
+
+
+@pytest.mark.parametrize("coeffs, k", [((0.0, 7.0, 3.0), 1), ((0.0, 7.0, 3.0), 2),
+                                       ((0.0, 0.25), 1)])
+def test_pair_minus_memo_on_overlapping_calls(coeffs, k, monkeypatch):
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    struct = critical_structure(sym)
+    xs = _nodes(sym, k)
+    n = xs.size
+    rng = np.random.default_rng(k)
+    calls = [
+        xs[: n // 2],                        # first half
+        xs[n // 4:],                         # overlaps the first call
+        rng.permutation(xs),                 # all known, permuted
+        np.repeat(xs[::5], 3),               # repeats
+        np.concatenate([xs[::-7], xs[:3]]),  # reversed, repeated across calls
+    ]
+    rows = _grid_rows(monkeypatch)
+    seen = set()
+    for x in calls:
+        want = _fresh(sym, k, x)
+        rows.clear()
+        _same_bits(pair_minus(sym, k, x, struct), want)
+        new = set(x.view(np.int64)) - seen
+        assert sum(rows) == len(new)  # only the unique misses are solved
+        seen |= new
+        keys, _ = struct.pair_memo[k]
+        assert set(keys) == seen and keys.size == len(seen)
+    assert pair_minus(sym, k, np.empty(0), struct).shape == (0,)
+
+
+# Two level-5 tanh-sinh nodes on the ray cut 2 of a p = 3 symbol where the
+# conjugate-pair shortcut fails and the boundary_values fallback succeeds.
+P3 = (0.0, 9.99, 6.545, 0.74)
+FALLBACK_X = np.array([-6.102356660690293e+56, -3.8777070819507954e+58])
+
+
+def test_pair_minus_memo_keeps_fallback_rows(monkeypatch):
+    sym = build_symbol(3, P3)
+    struct = critical_structure(sym)
+    xs = np.concatenate([_nodes(sym, 2, levels=2, struct=struct), FALLBACK_X])
+    want = _fresh(sym, 2, xs)
+    fallback = []
+    orig = branches.boundary_values
+
+    def recorded(sym, k, x, struct=None):
+        fallback.append(x)
+        return orig(sym, k, x, struct)
+
+    monkeypatch.setattr(branches, "boundary_values", recorded)
+    got = pair_minus(sym, 2, xs, struct)
+    _same_bits(got, want)
+    # the sign at the cut's reference point, then the two fallback rows
+    assert fallback[0] == branches._reference_point(struct.cut(2))
+    assert sorted(fallback[1:]) == sorted(FALLBACK_X)
+    fallback.clear()
+    rows = _grid_rows(monkeypatch)
+    _same_bits(pair_minus(sym, 2, xs[::-1], struct), got[::-1])
+    assert fallback == [] and rows == []
+
+
+def test_pair_minus_memo_is_per_cut(can):
+    struct = critical_structure(can)
+    x1, x2 = _nodes(can, 1, levels=3), _nodes(can, 2, levels=3)
+    pair_minus(can, 1, x1, struct)
+    # cut 1's values must not answer for cut 2: its nodes are not in cut 2
+    with pytest.raises(NotInCut):
+        pair_minus(can, 2, x1[:4], struct)
+    assert sorted(struct.pair_memo) == [1]  # a failed solve stores nothing
+    _same_bits(pair_minus(can, 2, x2, struct), _fresh(can, 2, x2))
+    for k, x in ((1, x1), (2, x2)):
+        _same_bits(struct.pair_memo[k][0], np.unique(x.view(np.int64)))
+
+
+def test_pair_minus_memo_keys_are_bit_patterns(cheb):
+    struct = critical_structure(cheb)
+    pos = pair_minus(cheb, 1, np.array([0.0]), struct)
+    neg = pair_minus(cheb, 1, np.array([-0.0]), struct)
+    assert struct.pair_memo[1][0].size == 2  # -0.0 is a key of its own
+    _same_bits(pos, _fresh(cheb, 1, [0.0]))
+    _same_bits(neg, _fresh(cheb, 1, [-0.0]))
+    _same_bits(pair_minus(cheb, 1, np.array([-0.0, 0.0, -0.0]), struct),
+               np.concatenate([neg, pos, neg]))
+    assert struct.pair_memo[1][0].size == 2

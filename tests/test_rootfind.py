@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symlab.rootfind import _seed, bisect
+from symlab.errors import ConvergenceFailure
+from symlab.rootfind import _seed, bisect, roots_batched
 
 
 def _run(f, lo, hi, steps, per_call):
@@ -140,3 +141,16 @@ def test_seed_matches_per_row_hull(deg):
     c[0, -2:] = -1e20, 1.0
     radii = np.abs(_seed(c)[0])
     assert radii[-1] == pytest.approx(1e20) and np.all(radii[:-1] == 0.0)
+
+
+# ---- the residual check: backward error against sum_k |c_k| |z|^k ----
+
+@pytest.mark.parametrize("deg", [4, 6])
+def test_far_root_off_by_a_factor_is_refused(deg):
+    # z^deg - 1e20 z^(deg-1): Aberth stalls on the multiple zero root and
+    # leaves the large root near 1e18, a backward error of order 1
+    c = np.zeros((1, deg + 1))
+    c[0, -2:] = -1e20, 1.0
+    with pytest.raises(ConvergenceFailure):
+        roots_batched(c)
+
