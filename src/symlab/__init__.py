@@ -28,8 +28,6 @@ def _cap_threads() -> None:
 _cap_threads()  # must run before numpy spins up its thread pools
 
 from .asymptotics import (
-    SpectrumReport,
-    StrongLimit,
     ToeplitzSection,
     bnk,
     counting_compare,
@@ -39,24 +37,17 @@ from .asymptotics import (
     orthogonality_with_psi_zeros,
     psi_zeros,
     ratio_rate,
-    second_kind_scale,
-    strong_limit_check,
     widom_psi,
-    widom_psi_scaled,
 )
 from .branches import (
-    BranchValues,
     boundary_values,
-    branch_derivative,
     conformal_map,
     jacobi_perron,
-    log_derivative_identity_residual,
     pair_minus,
     rho_density,
     rho_measure,
     s_density,
     s_measure,
-    solve_branches,
     solve_grid,
 )
 from .cubic import (
@@ -67,42 +58,29 @@ from .cubic import (
     cubic_z0,
 )
 from .nikishin import (
-    NikishinSystem,
     build_system,
-    gkj,
     mu_density,
     orthogonality_residual,
-    orthogonality_scale,
-    product_measure,
-    psi_iterated,
     psi_values,
 )
 from .polyseq import (
-    CompanionTable,
-    MonicPolySeq,
-    MultiIndex,
     eval_Q,
     eval_Q_with_derivative,
     gen_Q,
-    gen_companion,
     moments,
     multi_index,
     zeros_Q,
     zeros_Q_levels,
 )
 from .quadrature import (
-    FixedRule,
     MeasureHandle,
-    QuadResult,
     build_fixed_rule,
     cauchy_transform,
     integrate,
     rule_apply,
 )
 from .symbol import (
-    CriticalStructure,
     Cut,
-    SymbolCoeffs,
     build_symbol,
     critical_polynomial,
     critical_structure,

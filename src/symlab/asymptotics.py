@@ -10,11 +10,13 @@ whole-pipeline identity available.  The parity prefactor is forced by
 the residue identity sum_j z_j^{-(n+1)} / prod_{k!=j}(z_j - z_k) =
 -a_p Q_n(lam), where Q_n is the z^n coefficient of 1/(z(a(z) - lam)):
 with a plain -1/a_p the l = 0 sum returns (-1)^p Q_n, which fails for
-odd p (already at n = 0, where the sum collapses to 1/(z_0...z_p)).  On top of it sit the strong limits
-of z_l^{n+1} Psi_{n,l}, the Hermite-Pade error orders, ratio-asymptotic
-rates against the conformal map, the generalized spectra P_{n,k} as
-determinants of shifted Toeplitz sections, and the related minors
-B_{n,k} built from the moment functions Phi_{m,k}.
+odd p (already at n = 0, where the sum collapses to 1/(z_0...z_p)).
+
+On top of it sit the Hermite-Pade error orders, ratio-asymptotic rates
+against the conformal map, the generalized spectra P_{n,k} as
+determinants of shifted Toeplitz sections, the related minors B_{n,k}
+built from the moment functions Phi_{m,k}, and the orthogonality of the
+second-type functions.
 
 High-n differences like Q_n z0^j - Q_{n-j} cancel far below double
 resolution, so those two fits run in extended precision on the exact
@@ -37,11 +39,11 @@ from .errors import (
     Underflow,
 )
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
-from .branches import s_measure, solve_branches, solve_grid
+from .branches import s_measure, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
 from .quadrature import MeasureHandle, build_fixed_rule, rule_apply
 from .rootfind import bisect
-from .nikishin import NikishinSystem, _rho1_rule, product_measure, psi_values
+from .nikishin import NikishinSystem, _chain, _rho1_rule, psi_values
 
 _LOG_FLOOR = math.log(1e-14) - 34.0
 
@@ -108,38 +110,6 @@ def widom_psi(sym: SymbolCoeffs, n: int, l: int, lam):
     if np.ndim(lam) == 0:
         return _prefactor(sym) * terms[0]
     return (_prefactor(sym) * terms).reshape(np.shape(lam))
-
-
-def widom_psi_scaled(sym: SymbolCoeffs, n: int, l: int, lam: complex) -> complex:
-    """z_l^{n+1} Psi_{n,l}(lam), evaluated through modulus-<=1 ratios."""
-    if not 0 <= l <= sym.p:
-        raise ValueError("need 0 <= l <= p")
-    z = np.asarray(solve_branches(sym, lam).z)
-    _tie_guard(z[None], l)
-    powers = (z[l] / z[l:]) ** (n + 1)
-    return _prefactor(sym) * _widom_terms(z[None], l, powers[None])[0]
-
-
-@dataclass
-class StrongLimit:
-    values: np.ndarray
-    limit: complex
-    deviation: float
-
-
-def strong_limit_check(sym: SymbolCoeffs, l: int, lam: complex, n_range) -> StrongLimit:
-    """z_l^{n+1} Psi_{n,l} over n_range against its n -> infinity limit.
-
-    The limit is -1/(a_p prod_{k>l}(z_k - z_l)); the deviation reported
-    is for the last n and decays like |z_l / z_{l+1}|^n.
-    """
-    z = np.asarray(solve_branches(sym, lam).z)
-    _tie_guard(z[None], l)
-    tail = np.prod(z[l + 1 :] - z[l]) if l < sym.p else 1.0
-    limit = _prefactor(sym) / tail
-    values = np.array([widom_psi_scaled(sym, int(n), l, lam) for n in n_range])
-    return StrongLimit(values=values, limit=complex(limit),
-                       deviation=float(abs(values[-1] - limit)))
 
 
 # ---- extended-precision fits ----
@@ -414,20 +384,12 @@ def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) ->
     return complex(np.linalg.det(mat))
 
 
-def _chain_measure(sys: NikishinSystem, j: int, k: int) -> MeasureHandle:
-    """rho_{j,k} = <rho_j, <rho_{j+1}, ..., rho_k>> on Gamma_j."""
-    m = sys.rho[k - 1]
-    for i in range(k - 1, j - 1, -1):
-        m = product_measure(sys.rho[i - 1], m)
-    return m
-
-
 def _flat_chain_rule(sys: NikishinSystem, j: int, k: int, level: int = 7):
     """Frozen rule for (x - lam_{j+1}) drho_{j+1,k}(x), plus its tail degree."""
     key = ("flatchain", j, k, level)
     if key in sys._rules:
         return sys._rules[key]
-    chain = _chain_measure(sys, j + 1, k)
+    chain = _chain(sys.rho, j + 1, k)
     lam_next = sys.struct.lam[j]
 
     def dens(xs):
@@ -445,38 +407,33 @@ def _flat_chain_rule(sys: NikishinSystem, j: int, k: int, level: int = 7):
     return sys._rules[key]
 
 
-def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem,
-                              n: int, j: int, k: int, nu: int) -> float:
-    """|int x^nu Psi_{n,j}(x) (x - lam_{j+1}) drho_{j+1,k}(x)|.
+def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
+                              j: int, k: int, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(residuals, scales) of int x^nu Psi_{n,j}(x) (x - lam_{j+1}) drho_{j+1,k}(x),
+    nu = 0..nu_max, from one evaluation of Psi_{n,j}.
 
-    Vanishes for nu <= n_k - delta_j - 1 (delta_1 = 0, else 1); larger
-    nu probes the first live moment.
+    The integrals vanish for nu <= n_k - delta_j - 1 (delta_1 = 0, else 1);
+    nu = n_k - delta_j is the first live moment.  Each scale is
+    int |x^nu Psi_{n,j}| |x - lam_{j+1}| d|rho_{j+1,k}|.
     """
     if not (1 <= j <= sym.p - 1 and j + 1 <= k <= sym.p):
         raise ValueError("need 1 <= j <= p-1 and j+1 <= k <= p")
     rule, tail = _flat_chain_rule(sys, j, k)
     decay = multi_index(n, sym.p).components[j - 1] + 2 - j
-    if nu - decay + tail >= -1.0:
+    if nu_max - decay + tail >= -1.0:
         raise TailDivergence(
-            f"integrand tail degree {nu - decay + tail:.3f} is not integrable"
+            f"integrand tail degree {nu_max - decay + tail:.3f} is not integrable"
         )
-    val, _ = rule_apply(
-        rule,
-        lambda x: x**nu * psi_values(sys, n, j, x),
-        f_tail_degree=float(nu - decay),
-    )
-    return abs(val)
-
-
-def second_kind_scale(sym: SymbolCoeffs, sys: NikishinSystem,
-                      n: int, j: int, k: int, nu: int) -> float:
-    """int |x^nu Psi_{n,j}| |x - lam_{j+1}| d|rho_{j+1,k}|, the residual scale."""
-    rule, _ = _flat_chain_rule(sys, j, k)
-    decay = multi_index(n, sym.p).components[j - 1] + 2 - j
-    keep = rule.logw + (nu - decay) * rule.logx > _LOG_FLOOR
-    x = rule.x[keep]
-    fv = np.abs(x) ** nu * np.abs(psi_values(sys, n, j, x))
-    return float((np.abs(rule.w[keep]) * fv).sum())
+    # logx >= 0, so a node kept for one nu is kept for every larger nu
+    keep = rule.logw + (nu_max - decay) * rule.logx > _LOG_FLOOR
+    x, w, logw, logx = rule.x[keep], rule.w[keep], rule.logw[keep], rule.logx[keep]
+    psi = psi_values(sys, n, j, x)
+    residuals, scales = np.empty(nu_max + 1), np.empty(nu_max + 1)
+    for nu in range(nu_max + 1):
+        live = logw + (nu - decay) * logx > _LOG_FLOOR
+        terms = w[live] * x[live] ** nu * psi[live]
+        residuals[nu], scales[nu] = abs(terms.sum()), np.abs(terms).sum()
+    return residuals, scales
 
 
 def orthogonality_with_psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem,

@@ -28,28 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .errors import (
-    AtBranchPoint,
     ConvergenceFailure,
     DivisionBlowup,
     NotInCut,
     OnCut,
     UnstableOrdering,
 )
-from .quadrature import MeasureHandle, cauchy_transform
+from .quadrature import MeasureHandle
 from .rootfind import roots_batched
 from .symbol import CriticalStructure, Cut, SymbolCoeffs, _eval_a, critical_structure, eval_symbol
-
-_TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BranchValues:
-    lam: complex
-    z: tuple[complex, ...]
-    tie_flags: tuple[bool, ...]
-
 
 @dataclass(frozen=True)
 class CutSample:
@@ -87,30 +75,6 @@ def solve_grid(sym: SymbolCoeffs, lams) -> np.ndarray:
             f"branch residual {res[bad].max():.3e} at lambda = {lams[i]:.6g}"
         )
     return roots
-
-
-def solve_branches(sym: SymbolCoeffs, lam: complex) -> BranchValues:
-    z = solve_grid(sym, [lam])[0]
-    mods = np.abs(z)
-    ties = tuple(
-        bool(mods[i + 1] - mods[i] <= _TIE_TOL * max(mods[i + 1], 1e-30))
-        for i in range(sym.p)
-    )
-    return BranchValues(lam=complex(lam), z=tuple(z), tie_flags=ties)
-
-
-def branch_derivative(sym: SymbolCoeffs, bv: BranchValues) -> tuple[complex, ...]:
-    """z_j'(lambda) = 1/a'(z_j) by implicit differentiation."""
-    out = []
-    for z in bv.z:
-        da = complex(eval_symbol(sym, z)[2])
-        scale = abs(z) ** -2 + sum(
-            k * abs(sym.a[k]) * abs(z) ** (k - 1) for k in range(1, sym.p + 1)
-        )
-        if abs(da) < 1e-8 * scale:
-            raise AtBranchPoint(f"a'({z:.6g}) = {da:.3e} too small")
-        out.append(1.0 / da)
-    return tuple(out)
 
 
 def _richardson(values: np.ndarray) -> np.ndarray:
@@ -345,22 +309,3 @@ def jacobi_perron(sym: SymbolCoeffs, lam: complex, depth: int) -> tuple[complex,
         base = np.concatenate(([1.0 + 0.0j], y[:-1])) / y[-1]
         state = num * base
     return tuple(state)
-
-
-def log_derivative_identity_residual(sym: SymbolCoeffs, k: int, lam: complex) -> float:
-    """|z_k'/z_k + s_k-transform - s_{k+1}-transform| at lambda.
-
-    The transforms are integrals ds_i(x)/(x - lambda); indices 0 and p+1
-    contribute zero.
-    """
-    struct = critical_structure(sym)
-    bv = solve_branches(sym, lam)
-    zk = bv.z[k]
-    lhs = (1.0 / complex(eval_symbol(sym, zk)[2])) / zk
-
-    def transform(i: int) -> complex:
-        if i < 1 or i > sym.p:
-            return 0.0
-        return -cauchy_transform(s_measure(sym, i, struct), lam)
-
-    return abs(lhs + transform(k) - transform(k + 1))

@@ -5,32 +5,27 @@ Every subcommand needs exactly one symbol source (--coeffs a0,...,ap or
 schema_version and fixed field order, or CSV with a header row.  Floats
 are serialized in shortest round-trip form, so identical inputs give
 byte-identical output.  Exit codes: 0 success, 1 verification or
-computation failure (a named SymlabError), 2 usage error.  Anything
-else is an internal error and surfaces as a traceback.
+computation failure (a named SymlabError), 2 usage error, 3 internal
+error (any other exception: a bug, reported with its traceback).
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
-from . import errors
 from .asymptotics import gen_spectrum, hp_error_order
 from .branches import rho_density, s_density
 from .cubic import CubicParams, cubic_build
+from .errors import SymlabError
 from .nikishin import build_system, mu_density
 from .polyseq import gen_Q, multi_index, zeros_Q
 from .symbol import build_symbol, critical_structure
 from .verify import run_suite
 
 SCHEMA_VERSION = 1
-
-_MATH_ERRORS = tuple(
-    obj for obj in vars(errors).values()
-    if isinstance(obj, type) and issubclass(obj, Exception)
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -316,9 +311,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error_json("ConfigError", str(exc))
         return 2
-    except _MATH_ERRORS as exc:
+    except SymlabError as exc:
         _error_json(type(exc).__name__, str(exc))
         return 1
+    except Exception as exc:
+        traceback.print_exc()
+        _error_json("InternalError", f"{type(exc).__name__}: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -51,10 +51,6 @@ class UnstableOrdering(SymlabError):
     """Branch labels flipped along the boundary-value epsilon schedule."""
 
 
-class AtBranchPoint(SymlabError):
-    """a'(z_j) vanishes, so the branch derivative is undefined."""
-
-
 class OnCut(SymlabError):
     """Evaluation point lies on a cut where the quantity is discontinuous."""
 

@@ -12,8 +12,8 @@ on Gamma_1) decompose over the sigma's with lower-triangular constants
 c_{j,k}, c_{j,j} = 1; the off-diagonal constants are recovered by moment
 matching against exact power moments of mu_j.
 
-Also here: the symmetric branch combinations g_k^{(j)} and the iterated
-weighted Cauchy transforms Psi_{n,j} of the polynomial sequence.
+Also here: the iterated weighted Cauchy transforms Psi_{n,j} of the
+polynomial sequence.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OnCut, SingularMomentSystem, TailDivergence
+from .errors import SingularMomentSystem, TailDivergence
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
-from .branches import pair_minus, rho_measure, solve_branches
+from .branches import pair_minus, rho_measure
 from .quadrature import (
     FixedRule,
     MeasureHandle,
@@ -36,6 +36,10 @@ from .quadrature import (
 from .polyseq import eval_Q, moments, multi_index
 
 _LOG_FLOOR = math.log(1e-14) - 34.0
+# points per block of _psi_at's complex (points, nodes) kernel: 64 rows keep
+# each temporary near 5 MB; product_measure's real blocks stay at 512, where
+# 64 rows was slower
+_PSI_ROWS = 64
 
 
 def product_measure(
@@ -129,15 +133,12 @@ class NikishinSystem:
         return self._rules[key]
 
 
-def _sigma_chain(rho: list[MeasureHandle]) -> list[MeasureHandle]:
-    p = len(rho)
-    sigmas = []
-    for j in range(1, p + 1):
-        m = rho[j - 1]
-        for i in range(j - 1, 0, -1):
-            m = product_measure(rho[i - 1], m)
-        sigmas.append(m)
-    return sigmas
+def _chain(rho: list[MeasureHandle], j: int, k: int) -> MeasureHandle:
+    """rho_{j,k} = <rho_j, <rho_{j+1}, ..., rho_k>> on Gamma_j; sigma_k = rho_{1,k}."""
+    m = rho[k - 1]
+    for i in range(k - 1, j - 1, -1):
+        m = product_measure(rho[i - 1], m)
+    return m
 
 
 def _sigma_moment(sig: MeasureHandle, m: int) -> float:
@@ -158,7 +159,7 @@ def build_system(sym: SymbolCoeffs,
     p = sym.p
     struct = struct or critical_structure(sym)
     rho = [rho_measure(sym, j, struct) for j in range(1, p + 1)]
-    sigma = _sigma_chain(rho)
+    sigma = [_chain(rho, 1, k) for k in range(1, p + 1)]
     mu = [_mu_measure(sym, k, struct) for k in range(1, p + 1)]
 
     # exact mu moments: the functional L_j acts as the j-th section row,
@@ -185,38 +186,13 @@ def build_system(sym: SymbolCoeffs,
     return NikishinSystem(sym=sym, struct=struct, rho=rho, sigma=sigma, c=c, mu=mu)
 
 
-def _complete_homogeneous(deg: int, zs: np.ndarray) -> complex:
-    # h_deg(z_0..z_{j-1}) by the one-variable-at-a-time recurrence
-    h = np.zeros(deg + 1, dtype=complex)
-    h[0] = 1.0
-    for z in zs:
-        for m in range(1, deg + 1):
-            h[m] = h[m] + z * h[m - 1]
-    return complex(h[deg])
+def orthogonality_residual(sys: NikishinSystem, qn: np.ndarray, j: int,
+                           k: int) -> tuple[float, float]:
+    """(residual, scale) of int x^k Q_n(x) dsigma_j(x) by the frozen sigma_j rule.
 
-
-def gkj(sym: SymbolCoeffs, j: int, k: int, lam: complex,
-        struct: CriticalStructure | None = None) -> complex:
-    """g_k^{(j)}: complete homogeneous symmetric of degree k-j+1 in z_0..z_{j-1}.
-
-    Defined off Gamma_j; the inner cuts Gamma_i (i < j) are removable
-    because the expression is symmetric in the branches that swap there.
+    The residual is the integral's modulus, the scale
+    int |x^k Q_n| d|sigma_j| its natural size.
     """
-    if not 1 <= j <= k <= sym.p:
-        raise ValueError("need 1 <= j <= k <= p")
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(j)
-    lam = complex(lam)
-    tol = 1e-12 * cut.scale()
-    # branch points themselves are fine: the colliding pair is symmetric
-    if abs(lam.imag) <= tol and cut.contains_interior(lam.real, tol):
-        raise OnCut(f"lambda {lam} lies on Gamma_{j}")
-    z = solve_branches(sym, lam).z
-    return _complete_homogeneous(k - j + 1, z[:j])
-
-
-def orthogonality_residual(sys: NikishinSystem, qn: np.ndarray, j: int, k: int) -> float:
-    """|int x^k Q_n(x) dsigma_j(x)| by the frozen sigma_j rule."""
     coef = np.asarray(qn, dtype=float)
     rule = sys.sigma_rule(j)
 
@@ -224,15 +200,8 @@ def orthogonality_residual(sys: NikishinSystem, qn: np.ndarray, j: int, k: int) 
         return x**k * np.polynomial.polynomial.polyval(x, coef)
 
     val, _ = rule_apply(rule, f)
-    return abs(val)
-
-
-def orthogonality_scale(sys: NikishinSystem, qn: np.ndarray, j: int, k: int) -> float:
-    """int |x^k Q_n| d|sigma_j|, the natural scale for the residual."""
-    coef = np.asarray(qn, dtype=float)
-    rule = sys.sigma_rule(j)
     fv = np.abs(rule.x) ** k * np.abs(np.polynomial.polynomial.polyval(rule.x, coef))
-    return float((np.abs(rule.w) * fv).sum())
+    return abs(val), float((np.abs(rule.w) * fv).sum())
 
 
 def _flat_rho_rule(sys: NikishinSystem, i: int, level: int = 7) -> FixedRule:
@@ -332,17 +301,17 @@ def _psi_at(sys: NikishinSystem, n: int, j: int, lam: np.ndarray) -> np.ndarray:
         if not far.all():
             idx = np.flatnonzero(~far)
             q = eval_Q(sys.sym, n, rule.x)
-            for s in range(0, idx.size, 512):
-                blk = flat[idx[s : s + 512]]
-                out[idx[s : s + 512]] = (
+            for s in range(0, idx.size, _PSI_ROWS):
+                blk = flat[idx[s : s + _PSI_ROWS]]
+                out[idx[s : s + _PSI_ROWS]] = (
                     rule.w * q / (blk[:, None] - rule.x)
                 ).sum(axis=1)
         return out.reshape(lam.shape)
     t, w, psi = _psi_stage_values(sys, n, j - 1)
     out = np.empty(lam.shape, dtype=complex)
-    for s in range(0, lam.size, 512):
-        blk = lam.reshape(-1)[s : s + 512]
-        out.reshape(-1)[s : s + 512] = (w * psi / (blk[:, None] - t)).sum(axis=1)
+    for s in range(0, lam.size, _PSI_ROWS):
+        blk = lam.reshape(-1)[s : s + _PSI_ROWS]
+        out.reshape(-1)[s : s + _PSI_ROWS] = (w * psi / (blk[:, None] - t)).sum(axis=1)
     return out
 
 
@@ -363,16 +332,3 @@ def psi_values(sys: NikishinSystem, n: int, j: int, lams) -> np.ndarray:
     """Psi_{n,j} on an array of points off Gamma_j (shares the stage cache)."""
     _check_tail(sys, n, j)
     return _psi_at(sys, n, j, np.asarray(lams, dtype=complex))
-
-
-def psi_iterated(sys: NikishinSystem, n: int, j: int, lam: complex) -> complex:
-    """Psi_{n,j}(lam) by the nested weighted Cauchy transforms.
-
-    Psi_{n,0} = Q_n, Psi_{n,1} = int Q_n drho_1/(lam-x), and each later
-    stage integrates the previous one against (x - lam_i) drho_i/(lam-x).
-    Inner stages are evaluated once on frozen quadrature nodes and cached
-    on the system, so repeated calls at new lam only pay the last stage.
-    """
-    _check_tail(sys, n, j)
-    val = _psi_at(sys, n, j, np.array([complex(lam)]))
-    return complex(val[0])

@@ -82,29 +82,6 @@ def gen_Q(sym: SymbolCoeffs, N: int) -> MonicPolySeq:
     return MonicPolySeq(sym=sym, N=N, coeffs=table)
 
 
-@dataclass
-class CompanionTable:
-    """Companion polynomials p_n^(j) = Q_{n-1} + ... + Q_{n-j}."""
-
-    seq: MonicPolySeq
-
-    def poly(self, n: int, j: int) -> list[Fraction]:
-        if not 1 <= j <= self.seq.sym.p:
-            raise ValueError("need 1 <= j <= p")
-        deg = max(n - 1, 0)
-        out = [Fraction(0)] * (deg + 1)
-        for i in range(1, j + 1):
-            if n - i < 0:
-                continue
-            for m, c in enumerate(self.seq.poly(n - i)):
-                out[m] += c
-        return out
-
-
-def gen_companion(sym: SymbolCoeffs, N: int) -> CompanionTable:
-    return CompanionTable(seq=gen_Q(sym, N))
-
-
 def moments(sym: SymbolCoeffs, j: int, m_max: int) -> list[Fraction]:
     """Exact moments L_j(lam^m), m = 0..m_max, via a finite band section.
 

@@ -17,6 +17,9 @@ from .asymptotics import (
     counting_compare,
     gen_spectrum,
     hp_error_order,
+    orthogonality_second_kind,
+    orthogonality_with_psi_zeros,
+    psi_zeros,
     ratio_rate,
     widom_psi,
 )
@@ -28,17 +31,17 @@ from .branches import (
     solve_grid,
 )
 from .cubic import CubicParams, cubic_build, cubic_rho1_density, cubic_rho2_density
-from .nikishin import (
-    NikishinSystem,
-    build_system,
-    orthogonality_residual,
-    orthogonality_scale,
-    psi_values,
-)
+from .nikishin import NikishinSystem, build_system, orthogonality_residual, psi_values
 # zeros_Q stays bound here: perfbench's tracer test wraps and calls verify.zeros_Q
 from .polyseq import eval_Q, gen_Q, moments, multi_index, zeros_Q, zeros_Q_levels  # noqa: F401
-from .quadrature import MeasureHandle, integrate
-from .symbol import CriticalStructure, SymbolCoeffs, build_symbol, critical_structure
+from .quadrature import MeasureHandle, cauchy_transform, integrate
+from .symbol import (
+    CriticalStructure,
+    SymbolCoeffs,
+    build_symbol,
+    critical_structure,
+    eval_symbol,
+)
 
 CHEB = (0.0, 0.25)
 CAN = (0.0, 7.0, 3.0)
@@ -170,12 +173,10 @@ def check_orthogonality(sym: SymbolCoeffs, sys: NikishinSystem) -> CheckResult:
                 continue
             resids = []
             for k in range(nj):
-                r = orthogonality_residual(sys, qn, j, k)
-                s = orthogonality_scale(sys, qn, j, k)
+                r, s = orthogonality_residual(sys, qn, j, k)
                 resids.append(r / s)
             worst = max(worst, max(resids))
-            probe = orthogonality_residual(sys, qn, j, nj)
-            scale = orthogonality_scale(sys, qn, j, nj)
+            probe, scale = orthogonality_residual(sys, qn, j, nj)
             weakest_probe = min(weakest_probe, (probe / scale) / max(resids))
     passed = worst < 1e-6 and weakest_probe >= 1e3
     return CheckResult("multiple_orthogonality", passed, worst, 1e-6,
@@ -345,11 +346,59 @@ def check_jacobi_perron(sym: SymbolCoeffs, struct: CriticalStructure) -> CheckRe
                        "depth 80 vs (z0, ..., z0^p) at 10 probes")
 
 
+def check_log_derivative(sym: SymbolCoeffs, struct: CriticalStructure) -> CheckResult:
+    """z_k'/z_k + hat s_k - hat s_{k+1} = 0 for k = 0..p, hat s_0 = hat s_{p+1} = 0.
+
+    hat s_i(lam) = int ds_i(x) / (x - lam), and z_k' = 1/a'(z_k).
+    """
+    probes = _ray_safe_probes(struct, 10)
+    z = solve_grid(sym, probes)
+    s_hat = np.zeros((sym.p + 2, probes.size), dtype=complex)
+    for i in range(1, sym.p + 1):
+        m = s_measure(sym, i, struct)
+        s_hat[i] = [-cauchy_transform(m, lam) for lam in probes]
+    log_deriv = (1.0 / eval_symbol(sym, z)[2] / z).T
+    worst = float(np.abs(log_deriv + s_hat[:-1] - s_hat[1:]).max())
+    return CheckResult("log_derivative", worst < 1e-9, worst, 1e-9,
+                       "abs residual, k = 0..p at 10 probes")
+
+
+def check_second_kind_orthogonality(sym: SymbolCoeffs, sys: NikishinSystem) -> CheckResult:
+    """Psi_{7,j} against the flat chain weights (x - lam_{j+1}) drho_{j+1,k}, j < k."""
+    n = 7
+    ndx = multi_index(n, sym.p)
+    worst = 0.0
+    weakest_probe = np.inf
+    for j in range(1, sym.p):
+        for k in range(j + 1, sym.p + 1):
+            live = ndx.components[k - 1] - (0 if j == 1 else 1)  # n_k - delta_j
+            resid, scale = orthogonality_second_kind(sym, sys, n, j, k, live)
+            rel = resid / scale
+            worst = max(worst, float(rel[:-1].max()))
+            weakest_probe = min(weakest_probe, rel[-1] / rel[:-1].max())
+    passed = worst < 1e-9 and weakest_probe >= 1e3
+    return CheckResult("second_kind_orthogonality", passed, worst, 1e-9,
+                       f"n = {n}; first live moment >= {weakest_probe:.1e}x the residuals")
+
+
+def check_psi_zero_orthogonality(sym: SymbolCoeffs, sys: NikishinSystem) -> CheckResult:
+    """int x^nu Q_6 drho_1 / Q_{6,2} = 0 for nu < N_{6,1}, Q_{6,2} from the Psi_{6,1} zeros."""
+    n = 6
+    zeros = psi_zeros(sym, sys, n, struct=sys.struct)
+    worst = 0.0
+    for nu in range(zeros.size):
+        resid, scale = orthogonality_with_psi_zeros(sym, sys, n, nu, zeros)
+        worst = max(worst, resid / scale)
+    return CheckResult("psi_zero_orthogonality", worst < 1e-10, worst, 1e-10,
+                       f"n = {n}, nu < N_(n,1) = {zeros.size}")
+
+
 def run_suite(sym: SymbolCoeffs | None = None, suite: str = "fast") -> list[CheckResult]:
     """All applicable checks for one symbol (default: canonical (0,7,3)).
 
     `fast` covers the identity/orthogonality/zero checks; `full` adds the
-    ratio-asymptotics bound and the generalized-spectrum sweep to n=60.
+    ratio-asymptotics bound, the generalized-spectrum sweep to n=60, the
+    log-derivative identity and the two second-type orthogonalities.
     """
     if suite not in ("fast", "full"):
         raise ValueError("suite must be 'fast' or 'full'")
@@ -377,4 +426,8 @@ def run_suite(sym: SymbolCoeffs | None = None, suite: str = "fast") -> list[Chec
         results.append(check_ratio_rate(sym, struct))
         if sym.p >= 2:
             results.append(check_spectrum(sym, sys, struct))
+        results.append(check_log_derivative(sym, struct))
+        if sym.p >= 2:
+            results.append(check_second_kind_orthogonality(sym, sys))
+            results.append(check_psi_zero_orthogonality(sym, sys))
     return results

@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve headline properties at their stated
+"""Acceptance gate: the fifteen headline properties at their stated
 tolerances, one pass/fail line per property.
 
 Each test delegates to the corresponding check in symlab.verify, which
@@ -15,11 +15,14 @@ from symlab.verify import (
     check_cubic,
     check_hp_order,
     check_jacobi_perron,
+    check_log_derivative,
     check_mass,
     check_mu_moments,
     check_orthogonality,
     check_psi_p_closed_form,
+    check_psi_zero_orthogonality,
     check_ratio_rate,
+    check_second_kind_orthogonality,
     check_spectrum,
     check_widom_l0,
     check_zeros,
@@ -111,3 +114,22 @@ def test_criterion_12_jacobi_perron(cheb, cheb_struct, can, can_struct):
     report(
         [check_jacobi_perron(cheb, cheb_struct), check_jacobi_perron(can, can_struct)]
     )
+
+
+def test_criterion_13_log_derivative(cheb, cheb_struct, can, can_struct):
+    """z_k'/z_k + hat s_k - hat s_{k+1} = 0 for k = 0..p to 1e-9 at 10
+    probes away from every cut."""
+    report([check_log_derivative(cheb, cheb_struct), check_log_derivative(can, can_struct)])
+
+
+def test_criterion_14_second_kind_orthogonality(can, can_sys):
+    """Psi_{7,1} is orthogonal to x^nu against (x - lam_2) drho_2 for
+    nu < n_2 to 1e-9 of the scale, and the first live moment is at least
+    1e3 larger."""
+    report([check_second_kind_orthogonality(can, can_sys)])
+
+
+def test_criterion_15_psi_zero_orthogonality(can, can_sys):
+    """Q_6 is orthogonal to x^nu against drho_1 / Q_{6,2} for nu < N_{6,1},
+    Q_{6,2} vanishing at the zeros of Psi_{6,1}, to 1e-10 of the scale."""
+    report([check_psi_zero_orthogonality(can, can_sys)])

@@ -6,32 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from symlab import (
     boundary_values,
-    branch_derivative,
     build_symbol,
     conformal_map,
     critical_structure,
-    gkj,
-    log_derivative_identity_residual,
     pair_minus,
     rho_density,
     s_density,
-    solve_branches,
     solve_grid,
 )
-from symlab.errors import OnCut
 
 
 def test_chebyshev_branches_at_two(cheb):
     """At lam=2 the small branch is 2(2 - sqrt(3))."""
-    bv = solve_branches(cheb, 2.0)
-    assert bv.z[0] == pytest.approx(4.0 - 2.0 * math.sqrt(3.0), abs=1e-13)
-    assert bv.z[1] == pytest.approx(4.0 + 2.0 * math.sqrt(3.0), abs=1e-12)
+    z = solve_grid(cheb, [2.0])[0]
+    assert z[0] == pytest.approx(4.0 - 2.0 * math.sqrt(3.0), abs=1e-13)
+    assert z[1] == pytest.approx(4.0 + 2.0 * math.sqrt(3.0), abs=1e-12)
 
 
 def test_chebyshev_branches_at_zero(cheb):
     # dead center of the cut the branches collide in modulus: +-2i
-    bv = solve_branches(cheb, 0.0)
-    vals = sorted(bv.z, key=lambda z: z.imag)
+    vals = sorted(solve_grid(cheb, [0.0])[0], key=lambda z: z.imag)
     assert vals[0] == pytest.approx(-2j, abs=1e-13)
     assert vals[1] == pytest.approx(2j, abs=1e-13)
 
@@ -89,36 +83,7 @@ def test_solve_grid_matches_pointwise(can):
     lams = np.array([10 + 5j, -20 + 1j, 3 - 2j])
     grid = solve_grid(can, lams)
     for i, lam in enumerate(lams):
-        bv = solve_branches(can, complex(lam))
-        np.testing.assert_allclose(grid[i], bv.z, rtol=1e-12)
-
-
-def test_branch_derivative_vs_finite_difference(can):
-    lam = 10.0 + 5.0j
-    h = 1e-6
-    bv = solve_branches(can, lam)
-    dz = branch_derivative(can, bv)
-    for k in range(3):
-        num = (solve_branches(can, lam + h).z[k] - solve_branches(can, lam - h).z[k]) / (
-            2.0 * h
-        )
-        assert dz[k] == pytest.approx(num, rel=1e-6)
-
-
-def test_log_derivative_identity(can):
-    for lam in (10 + 5j, -30 + 2j, 2 - 4j):
-        assert log_derivative_identity_residual(can, 1, lam) < 1e-9
-
-
-def test_gkj_regression(can):
-    # just outside the finite end of Gamma_2
-    v = gkj(can, 2, 2, -4.999999 + 0.0j)
-    assert v == pytest.approx(-1.332626351408908, rel=1e-6)
-
-
-def test_gkj_on_cut_raises(can):
-    with pytest.raises(OnCut):
-        gkj(can, 2, 2, -5.000001)
+        np.testing.assert_allclose(grid[i], solve_grid(can, [lam])[0], rtol=1e-12)
 
 
 @settings(deadline=None, max_examples=30)

@@ -140,14 +140,20 @@ def test_zeros_past_float_range_exits_nonfinite(capsys):
     assert json.loads(err)["error"]["type"] == "NonFinite"
 
 
-def test_internal_error_is_not_config_error(monkeypatch):
-    # a ValueError from inside the library is a bug, not a usage error
-    def broken(*args, **kwargs):
-        raise ValueError("internal")
+def test_internal_error_is_not_config_error(monkeypatch, capsys):
+    # an exception that is not a SymlabError is a bug: not a usage error
+    # (2) nor a computation failure (1), but exit 3 with its traceback
+    for exc in (ValueError, RuntimeError):
+        def broken(*args, **kwargs):
+            raise exc("internal")
 
-    monkeypatch.setattr("symlab.cli.zeros_Q", broken)
-    with pytest.raises(ValueError, match="internal"):
-        main(["zeros", "--coeffs", "0,0.25", "--n", "4"])
+        monkeypatch.setitem(symlab.cli._COMMANDS, "zeros", broken)
+        code, out, err = run_cli(["zeros", "--coeffs", "0,0.25", "--n", "4"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback") and f"{exc.__name__}: internal\n" in err
+        doc = json.loads(err[err.index("{\n"):])
+        assert doc["error"] == {"type": "InternalError",
+                                "message": f"{exc.__name__}: internal"}
 
 
 def test_out_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from symlab import (
     cubic_z0,
     critical_structure,
     rho_density,
-    solve_branches,
+    solve_grid,
 )
 
 PARAMS = CubicParams(-2.0, -1.0)
@@ -27,13 +27,13 @@ def test_cubic_z0_off_cut(can):
     rng = np.random.default_rng(11)
     for _ in range(50):
         lam = complex(rng.uniform(-12, 12), rng.uniform(0.4, 8.0))
-        want = solve_branches(can, lam).z[0]
+        want = solve_grid(can, [lam])[0, 0]
         assert cubic_z0(PARAMS, lam) == pytest.approx(want, rel=1e-11)
 
 
 def test_cubic_z0_real_outside_hull(can):
     for lam in (8.0, 40.0, -60.0):
-        want = solve_branches(can, complex(lam)).z[0]
+        want = solve_grid(can, [lam])[0, 0]
         assert cubic_z0(PARAMS, lam) == pytest.approx(want, rel=1e-11)
 
 

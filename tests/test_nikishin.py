@@ -12,11 +12,9 @@ from symlab import (
     mu_density,
     multi_index,
     orthogonality_residual,
-    orthogonality_scale,
-    psi_iterated,
     psi_values,
     s_measure,
-    solve_branches,
+    solve_grid,
     widom_psi,
 )
 
@@ -109,27 +107,29 @@ def test_orthogonality_residuals_vanish(can, can_sys):
     # n = 6 has components (3, 3): moments 0..2 die against both sigmas
     for j in (1, 2):
         for nu in range(3):
-            resid = orthogonality_residual(can_sys, qn, j, nu)
-            scale = orthogonality_scale(can_sys, qn, j, nu)
+            resid, scale = orthogonality_residual(can_sys, qn, j, nu)
             assert resid < 1e-12 * scale
     # first live moment is far from zero
-    live = orthogonality_residual(can_sys, qn, 1, 3)
+    live, _ = orthogonality_residual(can_sys, qn, 1, 3)
     assert live > 1e3 * max(
-        orthogonality_residual(can_sys, qn, 1, nu) for nu in range(3)
+        orthogonality_residual(can_sys, qn, 1, nu)[0] for nu in range(3)
     )
 
 
-def test_psi_values_match_iterated(can_sys):
-    lam = 10 + 5j
-    grid = psi_values(can_sys, 4, 2, np.array([lam]))
-    nested = psi_iterated(can_sys, 4, 2, lam)
-    assert grid[0] == pytest.approx(nested, rel=1e-7)
+def test_psi_values_rows_ignore_their_batch(can_sys):
+    # more probes than one kernel block, near and far from the first cut
+    rng = np.random.default_rng(5)
+    lams = rng.uniform(-40, 40, 200) + 1j * rng.choice([-1, 1], 200) * rng.uniform(0.5, 20, 200)
+    for j in (1, 2):
+        batch = psi_values(can_sys, 4, j, lams)
+        alone = np.concatenate([psi_values(can_sys, 4, j, lams[i : i + 1]) for i in range(200)])
+        assert batch.tobytes() == alone.tobytes()
 
 
 def test_psi_p_closed_form_spot(can, can_sys):
     # second-type function at the last level against the explicit branch form
     lam = 10 + 5j
-    z2 = solve_branches(can, lam).z[2]
+    z2 = solve_grid(can, [lam])[0, 2]
     want = -1.0 / (3.0 * z2**5)
     got = psi_values(can_sys, 4, 2, np.array([lam]))[0]
     assert got == pytest.approx(want, rel=1e-8)

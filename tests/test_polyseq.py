@@ -12,7 +12,6 @@ from symlab import (
     eval_Q,
     eval_Q_with_derivative,
     gen_Q,
-    gen_companion,
     multi_index,
     zeros_Q,
     zeros_Q_levels,
@@ -212,22 +211,6 @@ def test_zeros_inside_cut_and_interlace(can, can_struct):
         assert np.all(prev > zs[:-1]) and np.all(prev < zs[1:])
         prev = zs
     assert prev.size == 25
-
-
-def test_companion_polys_sum_rows(can):
-    # p_n^(j) = Q_{n-1} + ... + Q_{n-j}, padded to degree n-1
-    table = gen_companion(can, 8)
-    seq = gen_Q(can, 8)
-    for n in (3, 5, 8):
-        for j in (1, 2):
-            got = table.poly(n, j)
-            want = [Fraction(0)] * n
-            for i in range(1, j + 1):
-                for m, c in enumerate(seq.coeffs[n - i]):
-                    want[m] += c
-            assert got == want
-    with pytest.raises(ValueError):
-        table.poly(4, 3)
 
 
 @settings(deadline=None, max_examples=25)

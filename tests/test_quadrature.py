@@ -79,9 +79,10 @@ def test_fixed_rule_agrees_with_adaptive(can):
 
 def test_cauchy_transform_semicircle(cheb):
     # C(lam) = 2 (lam -+ sqrt(lam^2 - 1)) on the branch decaying at infinity;
-    # (lam - s)(lam + s) = 1 so exactly one factor has modulus below 1
+    # (lam - s)(lam + s) = 1 so exactly one factor has modulus below 1;
+    # the last three lie within 1e-3 of the cut, on the near-cut path
     m = rho_measure(cheb, 1)
-    for lam in (2.0 + 0j, 1.5 + 0.5j, -3.0 + 0.1j):
+    for lam in (2.0 + 0j, 1.5 + 0.5j, -3.0 + 0.1j, 0.3 + 1e-6j, -0.9 + 1e-5j, 0.5 - 2e-4j):
         s = np.sqrt(lam * lam - 1.0)
         small = lam - s if abs(lam - s) < abs(lam + s) else lam + s
         got = cauchy_transform(m, lam)
