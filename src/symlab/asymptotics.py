@@ -43,9 +43,7 @@ from .branches import s_measure, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
 from .quadrature import MeasureHandle, build_fixed_rule, rule_apply
 from .rootfind import bisect
-from .nikishin import NikishinSystem, _chain, _rho1_rule, psi_values
-
-_LOG_FLOOR = math.log(1e-14) - 34.0
+from .nikishin import _LOG_FLOOR, NikishinSystem, _chain, _rho1_rule, psi_values
 
 
 # ---- Widom closed forms ----

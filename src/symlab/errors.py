@@ -100,7 +100,8 @@ class CountMismatch(SymlabError):
 
 
 class Underflow(SymlabError):
-    """Error magnitudes fell below 1e-300; raise precision or lower n."""
+    """A magnitude fell out of range below: an error under 1e-300 (raise
+    precision or lower n), or a subnormal Q_m value in the zero walk."""
 
 
 # ---- cubic oracle ----

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symlab
@@ -133,11 +134,16 @@ def test_exit_codes(capsys):
     assert json.loads(err)["error"]["type"] == "ZeroLeadingCoefficient"
 
 
-def test_zeros_past_float_range_exits_nonfinite(capsys):
-    # Q_n of (0, 1e4) overflows at n = 153; wrong zeros must not exit 0
+def test_zeros_past_float_range(capsys):
+    # Q_200 of (0, 1e4) is about 1e400 at the cut ends, past the float
+    # range; the zeros still come out, 200 cos(k pi/201) on [-200, 200]
     code, out, err = run_cli(["zeros", "--coeffs", "0,10000", "--n", "200"], capsys)
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"]["type"] == "NonFinite"
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["k", "x"] and len(rows) == 201
+    zs = np.array([float(x) for _, x in rows[1:]])
+    want = 200.0 * np.cos(np.arange(200, 0, -1) * np.pi / 201)
+    np.testing.assert_allclose(zs, want, rtol=0, atol=1e-12 * 400.0)
 
 
 def test_internal_error_is_not_config_error(monkeypatch, capsys):

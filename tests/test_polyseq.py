@@ -16,8 +16,9 @@ from symlab import (
     zeros_Q,
     zeros_Q_levels,
 )
-from symlab.errors import InterlacingViolation, NonFinite
-from symlab.symbol import Cut
+from symlab.cubic import CubicParams, cubic_build
+from symlab.errors import InterlacingViolation, NonFinite, Underflow
+from symlab.symbol import Cut, critical_structure
 
 # Exact coefficient rows for (0,7,3) from the three-term-plus band recurrence
 # lam Q_n = Q_{n+1} + 7 Q_{n-1} + 3 Q_{n-2}, seeded Q_0 = 1, Q_1 = lam.
@@ -122,9 +123,36 @@ def small():
 
 
 @pytest.fixture(scope="module")
-def small_levels(small):
-    # zeros of Q_1..Q_150, index m-1 for degree m, from one induction pass
-    return list(zeros_Q_levels(small, 150))
+def small_walk(small):
+    # zeros of Q_1..Q_153, index m-1 for degree m, from one induction pass,
+    # and the error that ends it: Q_154 at the cut end is 1e-308, subnormal
+    levels = []
+    with pytest.raises(Underflow) as info:
+        for zeros in zeros_Q_levels(small, 300):
+            levels.append(zeros)
+    return levels, info.value
+
+
+@pytest.fixture(scope="module")
+def small_levels(small_walk):
+    return small_walk[0]
+
+
+def _ulps(got, want, cut):
+    """Largest |got - want| in units of the spacing at max(|alpha|, |beta|)."""
+    return np.max(np.abs(got - want), initial=0.0) / np.spacing(max(abs(cut.lo), abs(cut.hi)))
+
+
+def _chebyshev_zeros(a0, a1, n):
+    return a0 + 2.0 * np.sqrt(a1) * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+
+
+def test_zeros_levels_underflow_is_named(small_walk):
+    # the walk must stop at the first subnormal bracket value: past it the
+    # zeros of Q_158..Q_161 come out wrong by 1e-10..1e-4 of the cut width
+    levels, err = small_walk
+    assert len(levels) == 153
+    assert str(err).startswith("Q_154 is -1e-308 at -0.019962557")
 
 
 def test_zeros_chebyshev_closed_form(cheb, small_levels):
@@ -156,24 +184,76 @@ def test_zeros_large_scale_until_overflow():
     np.testing.assert_allclose(levels[n - 1], want, rtol=0, atol=1e-12 * 400.0)
 
 
-def test_zeros_levels_match_zeros_Q(can, small, small_levels):
+def test_zeros_levels_match_zeros_Q(can, can_struct, small, small_levels):
+    # the walk and the sign count agree to 2 ulps of the cut's magnitude
     levels = list(zeros_Q_levels(can, 25))
     assert len(levels) == 25
     for m in (1, 2, 13, 25):
-        assert np.array_equal(levels[m - 1], zeros_Q(can, m))
+        assert _ulps(zeros_Q(can, m), levels[m - 1], can_struct.cut(1)) <= 2.0
+    g1 = critical_structure(small).cut(1)
     for m in (80, 150):
-        assert np.array_equal(small_levels[m - 1], zeros_Q(small, m))
+        assert _ulps(zeros_Q(small, m), small_levels[m - 1], g1) <= 2.0
 
 
 def test_zeros_Q_pinned_bits(can, small):
-    # sha256 of the zeros' bytes as computed by 48 single bisection steps
-    # over the full recurrence; a last-bit drift in any zero changes them
+    # sha256 of the zeros' bytes; a last-bit drift in any zero changes them.
+    # The walk's pins were recorded from 48 single bisection steps over the
+    # full recurrence, the sign count's when it replaced the walk in zeros_Q
     pins = (
-        (can, 60, "3f0c813adde7ebf54d1f5bda893f1968f953efc7e66fbdac41dd36986fca604b"),
-        (small, 90, "5eadc854958c0755a655ba4b41d6cc61a1236dce52ae514f315e33595fe33418"),
+        (can, 60, "3f0c813adde7ebf54d1f5bda893f1968f953efc7e66fbdac41dd36986fca604b",
+         "bba0ac89ad66f6e547ef7a26c436d31d9c2766fc21eec840c1455ea908974575"),
+        (small, 90, "5eadc854958c0755a655ba4b41d6cc61a1236dce52ae514f315e33595fe33418",
+         "84801eedf7bf323b6ae784262e2a0b3c8d2629b966f1f140e4e4192a09dc5d2d"),
     )
-    for sym, n, digest in pins:
-        assert hashlib.sha256(zeros_Q(sym, n).tobytes()).hexdigest() == digest
+    for sym, n, walk, count in pins:
+        *_, last = zeros_Q_levels(sym, n)
+        assert hashlib.sha256(last.tobytes()).hexdigest() == walk
+        assert hashlib.sha256(zeros_Q(sym, n).tobytes()).hexdigest() == count
+
+
+def test_zeros_Q_any_scale():
+    # Q_n at the cut ends is about (cut width / 4)^n: 1e-600 for (0, 1e-4)
+    # at n = 300 and 1e+400 for (0, 1e4) at n = 200, both past the float
+    # range, where the walk stops with Underflow and NonFinite
+    for a1, n in ((1e-4, 300), (1e4, 200)):
+        zs = zeros_Q(build_symbol(1, (0.0, a1)), n)
+        width = 4.0 * np.sqrt(a1)
+        np.testing.assert_allclose(zs, _chebyshev_zeros(0.0, a1, n),
+                                   rtol=0, atol=1e-12 * width)
+
+
+@settings(deadline=None, max_examples=12, derandomize=True, database=None)
+@given(
+    a0=st.floats(-3.0, 3.0),
+    a1=st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+    n=st.integers(1, 300),
+)
+def test_zeros_Q_chebyshev_any_symbol(a0, a1, n):
+    sym = build_symbol(1, (a0, a1))
+    g1 = critical_structure(sym).cut(1)
+    # the closed form is itself rounded at the cut's magnitude
+    tol = 1e-12 * (g1.hi - g1.lo) + 4.0 * np.spacing(max(abs(g1.lo), abs(g1.hi)))
+    np.testing.assert_allclose(zeros_Q(sym, n), _chebyshev_zeros(a0, a1, n),
+                               rtol=0, atol=tol)
+
+
+@settings(deadline=None, max_examples=8, derandomize=True, database=None)
+@given(
+    s=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+    rho=st.floats(1.5, 8.0),
+    n=st.integers(1, 40),
+)
+def test_zeros_Q_cubic_matches_walk(s, rho, n):
+    sym, _ = cubic_build(CubicParams(x1=-s * rho, x2=-s))
+    struct = critical_structure(sym)
+    g1 = struct.cut(1)
+    zs = zeros_Q(sym, n, struct)
+    *_, walk = zeros_Q_levels(sym, n, struct)
+    assert _ulps(zs, walk, g1) <= 2.0
+    # Q_n alternates in sign at the cut ends and between its zeros
+    checks = np.concatenate(([g1.lo], 0.5 * (zs[:-1] + zs[1:]), [g1.hi]))
+    signs = np.sign(eval_Q(sym, n, checks))
+    assert np.all(signs[:-1] * signs[1:] < 0.0)
 
 
 def test_zeros_Q_degree_zero_is_empty(can):
@@ -191,6 +271,16 @@ def test_zeros_levels_raise_on_broken_bracket(cheb, cheb_struct):
         assert next(levels).size == m
     with pytest.raises(InterlacingViolation, match="Q_6 does not change sign"):
         next(levels)
+    # the sign count sees it at the cut end: five zeros of Q_6 above -0.9
+    assert zeros_Q(cheb, 5, narrow).size == 5
+    with pytest.raises(InterlacingViolation,
+                       match="Q_0..Q_6 change sign 5 times at cut end -0.9, not 6"):
+        zeros_Q(cheb, 6, narrow)
+    # a_1 < 0: the zeros of Q_4 are imaginary, yet Q_0..Q_4 change sign 4
+    # times at -1 and never at 1, so only the closing sign check sees it
+    imaginary = build_symbol(1, (0.0, -0.25))
+    with pytest.raises(InterlacingViolation, match="Q_4 does not change sign"):
+        zeros_Q(imaginary, 4, cheb_struct)
 
 
 def test_zeros_canonical_frozen(can):
