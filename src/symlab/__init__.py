@@ -33,8 +33,6 @@ from .asymptotics import (
     counting_compare,
     gen_spectrum,
     hp_error_order,
-    orthogonality_second_kind,
-    orthogonality_with_psi_zeros,
     psi_zeros,
     ratio_rate,
     widom_psi,
@@ -61,6 +59,8 @@ from .nikishin import (
     build_system,
     mu_density,
     orthogonality_residual,
+    orthogonality_second_kind,
+    orthogonality_with_psi_zeros,
     psi_values,
 )
 from .polyseq import (

@@ -14,9 +14,8 @@ odd p (already at n = 0, where the sum collapses to 1/(z_0...z_p)).
 
 On top of it sit the Hermite-Pade error orders, ratio-asymptotic rates
 against the conformal map, the generalized spectra P_{n,k} as
-determinants of shifted Toeplitz sections, the related minors B_{n,k}
-built from the moment functions Phi_{m,k}, and the orthogonality of the
-second-type functions.
+determinants of shifted Toeplitz sections, and the related minors B_{n,k}
+built from the moment functions Phi_{m,k}.
 
 High-n differences like Q_n z0^j - Q_{n-j} cancel far below double
 resolution, so those two fits run in extended precision on the exact
@@ -35,15 +34,14 @@ from .errors import (
     CountMismatch,
     NearBranchPoint,
     RootCountMismatch,
-    TailDivergence,
     Underflow,
 )
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
 from .branches import s_measure, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
-from .quadrature import MeasureHandle, build_fixed_rule, rule_apply
+from .quadrature import build_fixed_rule, rule_apply
 from .rootfind import bisect
-from .nikishin import _LOG_FLOOR, NikishinSystem, _chain, _rho1_rule, psi_values
+from .nikishin import NikishinSystem
 
 
 # ---- Widom closed forms ----
@@ -380,76 +378,6 @@ def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) ->
             )
             mat[i, j] = val
     return complex(np.linalg.det(mat))
-
-
-def _flat_chain_rule(sys: NikishinSystem, j: int, k: int, level: int = 7):
-    """Frozen rule for (x - lam_{j+1}) drho_{j+1,k}(x), plus its tail degree."""
-    key = ("flatchain", j, k, level)
-    if key in sys._rules:
-        return sys._rules[key]
-    chain = _chain(sys.rho, j + 1, k)
-    lam_next = sys.struct.lam[j]
-
-    def dens(xs):
-        xa = np.asarray(xs, dtype=float)
-        return (xa - lam_next) * chain.density(xa)
-
-    tail = chain.tail_exponent + 1.0
-    handle = MeasureHandle(
-        cut=chain.cut, density=dens,
-        endpoint_exponents=(chain.endpoint_exponents[0] + 1.0,
-                            chain.endpoint_exponents[1] + 1.0),
-        tail_exponent=tail, finite_mass=False, name=f"flat_rho_{j + 1},{k}",
-    )
-    sys._rules[key] = (build_fixed_rule(handle, level=level), tail)
-    return sys._rules[key]
-
-
-def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
-                              j: int, k: int, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(residuals, scales) of int x^nu Psi_{n,j}(x) (x - lam_{j+1}) drho_{j+1,k}(x),
-    nu = 0..nu_max, from one evaluation of Psi_{n,j}.
-
-    The integrals vanish for nu <= n_k - delta_j - 1 (delta_1 = 0, else 1);
-    nu = n_k - delta_j is the first live moment.  Each scale is
-    int |x^nu Psi_{n,j}| |x - lam_{j+1}| d|rho_{j+1,k}|.
-    """
-    if not (1 <= j <= sym.p - 1 and j + 1 <= k <= sym.p):
-        raise ValueError("need 1 <= j <= p-1 and j+1 <= k <= p")
-    rule, tail = _flat_chain_rule(sys, j, k)
-    decay = multi_index(n, sym.p).components[j - 1] + 2 - j
-    if nu_max - decay + tail >= -1.0:
-        raise TailDivergence(
-            f"integrand tail degree {nu_max - decay + tail:.3f} is not integrable"
-        )
-    # logx >= 0, so a node kept for one nu is kept for every larger nu
-    keep = rule.logw + (nu_max - decay) * rule.logx > _LOG_FLOOR
-    x, w, logw, logx = rule.x[keep], rule.w[keep], rule.logw[keep], rule.logx[keep]
-    psi = psi_values(sys, n, j, x)
-    residuals, scales = np.empty(nu_max + 1), np.empty(nu_max + 1)
-    for nu in range(nu_max + 1):
-        live = logw + (nu - decay) * logx > _LOG_FLOOR
-        terms = w[live] * x[live] ** nu * psi[live]
-        residuals[nu], scales[nu] = abs(terms.sum()), np.abs(terms).sum()
-    return residuals, scales
-
-
-def orthogonality_with_psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem,
-                                 n: int, nu: int,
-                                 zeros: np.ndarray | None = None) -> tuple[float, float]:
-    """(residual, scale) of int x^nu Q_n(x) drho_1(x) / Q_{n,2}(x).
-
-    Q_{n,2} is the monic polynomial vanishing at the second-kind zeros;
-    the integral vanishes for nu < N_{n,1}.
-    """
-    if zeros is None:
-        zeros = psi_zeros(sym, sys, n, struct=sys.struct)
-    rule = _rho1_rule(sys)
-    q = eval_Q(sym, n, rule.x)
-    den = np.prod(rule.x[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
-    fv = rule.x**nu * q / den
-    terms = rule.w * fv
-    return abs(float(terms.sum())), float(np.abs(terms).sum())
 
 
 # ---- counting-measure comparison ----

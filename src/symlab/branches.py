@@ -235,7 +235,7 @@ def s_measure(sym: SymbolCoeffs, k: int, struct: CriticalStructure | None = None
 
     return MeasureHandle(
         cut=cut, density=dens, endpoint_exponents=(-0.5, -0.5),
-        tail_exponent=tail, finite_mass=True, name=f"s_{k}",
+        tail_exponent=tail, name=f"s_{k}",
     )
 
 
@@ -247,14 +247,9 @@ def rho_measure(sym: SymbolCoeffs, j: int, struct: CriticalStructure | None = No
     def dens(xs):
         return rho_density(sym, j, np.asarray(xs, dtype=float), struct)
 
-    if j == 1:
-        return MeasureHandle(
-            cut=cut, density=dens, endpoint_exponents=(-0.5, -0.5),
-            tail_exponent=None, finite_mass=True, name="rho_1",
-        )
     return MeasureHandle(
         cut=cut, density=dens, endpoint_exponents=(-0.5, -0.5),
-        tail_exponent=1.0 / sym.p - 1.0, finite_mass=False, name=f"rho_{j}",
+        tail_exponent=None if j == 1 else 1.0 / sym.p - 1.0, name=f"rho_{j}",
     )
 
 

@@ -163,9 +163,7 @@ def cmd_density(sym, args) -> int:
 def cmd_spectrum(sym, args) -> int:
     if not 0 <= args.k <= sym.p - 1:
         raise ConfigError(f"need 0 <= k <= p-1 = {sym.p - 1}")
-    struct = critical_structure(sym)
-    sys_ = build_system(sym, struct) if args.k >= 1 else None
-    rep = gen_spectrum(sym, args.n, args.k, struct=struct, sys=sys_)
+    rep = gen_spectrum(sym, args.n, args.k, struct=critical_structure(sym))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",

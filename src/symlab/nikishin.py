@@ -13,7 +13,12 @@ c_{j,k}, c_{j,j} = 1; the off-diagonal constants are recovered by moment
 matching against exact power moments of mu_j.
 
 Also here: the iterated weighted Cauchy transforms Psi_{n,j} of the
-polynomial sequence.
+polynomial sequence and the orthogonalities checked with them.
+
+This module alone turns the chain into frozen tanh-sinh rules, at one
+fixed level per kind.  `product_measure` freezes the next measure once
+per product; the rules, Psi stage values and far-field moments a system
+reuses are built once per system through `NikishinSystem._once`.
 """
 
 from __future__ import annotations
@@ -36,15 +41,28 @@ from .quadrature import (
 from .polyseq import eval_Q, moments, multi_index
 
 _LOG_FLOOR = math.log(1e-14) - 34.0
-# points per block of _psi_at's complex (points, nodes) kernel: 64 rows keep
-# each temporary near 5 MB; product_measure's real blocks stay at 512, where
+# points per block of the Cauchy kernel: 64 rows keep each complex Psi
+# temporary near 5 MB; product_measure's real blocks stay at 512, where
 # 64 rows was slower
 _PSI_ROWS = 64
+_REAL_ROWS = 512
+_FAR_TERMS = 40  # moments in the 1/lam expansion of Psi_{n,1}
 
 
-def product_measure(
-    beta_j: MeasureHandle, beta_next: MeasureHandle, *, level: int = 8
-) -> MeasureHandle:
+def _cauchy_sum(lam: np.ndarray, t: np.ndarray, wf: np.ndarray,
+                rows: int) -> np.ndarray:
+    """sum_i wf_i / (lam - t_i) at each point of the 1-d array lam.
+
+    The (points, nodes) kernel is formed `rows` points at a time, which
+    bounds its size; a row's sum does not depend on its block.
+    """
+    return np.concatenate([
+        (wf / (lam[s : s + rows, None] - t)).sum(axis=1)
+        for s in range(0, max(lam.size, 1), rows)
+    ])
+
+
+def product_measure(beta_j: MeasureHandle, beta_next: MeasureHandle) -> MeasureHandle:
     """Product measure <beta_j, beta_next> on the cut of beta_j.
 
     The density is (x - lam_next) * hat(beta_next)(x) * beta_j'(x) with
@@ -56,34 +74,27 @@ def product_measure(
     if not beta_next.cut.is_ray:
         raise ValueError("next measure must live on a ray cut")
     lam_next = beta_next.cut.finite_end
-    rule = build_fixed_rule(beta_next, level=level)
+    rule = build_fixed_rule(beta_next, level=8)
     keep = rule.logw - rule.logx > _LOG_FLOOR
     t = rule.x[keep]
     w = rule.w[keep]
 
     def dens(x):
         xa = np.asarray(x, dtype=float)
-        flat = xa.reshape(-1)
-        # rows of <= 512 points bound the (x, t) matrix on long node sets
-        hat = np.concatenate([
-            (w / (flat[s : s + 512, None] - t)).sum(axis=-1)
-            for s in range(0, max(flat.size, 1), 512)
-        ]).reshape(xa.shape)
+        hat = _cauchy_sum(xa.reshape(-1), t, w, _REAL_ROWS).reshape(xa.shape)
         val = (xa - lam_next) * hat * beta_j.density(xa)
         return val if xa.ndim else float(val)
 
+    tail = None
     if beta_j.cut.is_ray:
-        decay = -1.0 if beta_next.finite_mass else beta_next.tail_exponent + 1.0
-        tail = beta_j.tail_exponent + 1.0 + decay
-        mass = tail < -1.0
-    else:
-        tail = None
-        mass = True
+        # hat(beta_next) falls like 1/x when beta_next has finite mass
+        nxt = beta_next.tail_exponent
+        tail = beta_j.tail_exponent + 1.0 + (-1.0 if nxt < -1.0 else nxt + 1.0)
     name = f"<{beta_j.name or 'beta'},{beta_next.name or 'beta'}>"
     return MeasureHandle(
         cut=beta_j.cut, density=dens,
         endpoint_exponents=beta_j.endpoint_exponents,
-        tail_exponent=tail, finite_mass=mass, name=name,
+        tail_exponent=tail, name=name,
     )
 
 
@@ -104,7 +115,7 @@ def _mu_measure(sym: SymbolCoeffs, k: int, struct: CriticalStructure) -> Measure
 
     return MeasureHandle(
         cut=cut, density=dens, endpoint_exponents=(0.5, 0.5),
-        tail_exponent=None, finite_mass=True, name=f"mu_{k}",
+        tail_exponent=None, name=f"mu_{k}",
     )
 
 
@@ -114,7 +125,8 @@ class NikishinSystem:
 
     rho[j-1] lives on Gamma_j; sigma[j-1] and mu[j-1] live on Gamma_1.
     c is lower triangular with unit diagonal and mu_j = sum_k c[j,k] sigma_k
-    (1-based in the math, 0-based in the array).
+    (1-based in the math, 0-based in the array).  Frozen rules and Psi
+    arrays are built on first use and kept with the system.
     """
 
     sym: SymbolCoeffs
@@ -123,14 +135,18 @@ class NikishinSystem:
     sigma: list[MeasureHandle]
     c: np.ndarray
     mu: list[MeasureHandle]
-    _rules: dict = field(default_factory=dict, repr=False, compare=False)
-    _psi: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def sigma_rule(self, j: int, level: int = 8) -> FixedRule:
-        key = ("sigma", j, level)
-        if key not in self._rules:
-            self._rules[key] = build_fixed_rule(self.sigma[j - 1], level=level)
-        return self._rules[key]
+    def _once(self, key: tuple, make):
+        """make(), called on the first request for `key` only."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def sigma_rule(self, j: int) -> FixedRule:
+        """Frozen level-8 rule for sigma_j."""
+        return self._once(("sigma", j),
+                          lambda: build_fixed_rule(self.sigma[j - 1], level=8))
 
 
 def _chain(rho: list[MeasureHandle], j: int, k: int) -> MeasureHandle:
@@ -186,133 +202,124 @@ def build_system(sym: SymbolCoeffs,
     return NikishinSystem(sym=sym, struct=struct, rho=rho, sigma=sigma, c=c, mu=mu)
 
 
-def orthogonality_residual(sys: NikishinSystem, qn: np.ndarray, j: int,
-                           k: int) -> tuple[float, float]:
-    """(residual, scale) of int x^k Q_n(x) dsigma_j(x) by the frozen sigma_j rule.
+# ---- frozen rules of the chain ----
 
-    The residual is the integral's modulus, the scale
-    int |x^k Q_n| d|sigma_j| its natural size.
-    """
-    coef = np.asarray(qn, dtype=float)
-    rule = sys.sigma_rule(j)
-
-    def f(x):
-        return x**k * np.polynomial.polynomial.polyval(x, coef)
-
-    val, _ = rule_apply(rule, f)
-    fv = np.abs(rule.x) ** k * np.abs(np.polynomial.polynomial.polyval(rule.x, coef))
-    return abs(val), float((np.abs(rule.w) * fv).sum())
+def _rho1_rule(sys: NikishinSystem) -> FixedRule:
+    return sys._once(("rho1",), lambda: build_fixed_rule(sys.rho[0], level=8))
 
 
-def _flat_rho_rule(sys: NikishinSystem, i: int, level: int = 7) -> FixedRule:
+def _flat_rho_rule(sys: NikishinSystem, i: int) -> FixedRule:
     """Rule for the combined weight (x - lam_i) rho_i'(x) = Im z_{i-1,-}(x)/pi.
 
     Folding the linear factor into the density keeps the weight bounded
     at the branch point and makes the tail degree +1/p instead of the
     non-integrable 1/p - 1 of rho_i alone.
     """
-    key = ("flat", i, level)
-    if key in sys._rules:
-        return sys._rules[key]
-    sym, struct = sys.sym, sys.struct
-    cut = struct.cut(i)
 
-    def dens(xs):
-        zm = pair_minus(sym, i, np.atleast_1d(np.asarray(xs, dtype=float)), struct)
-        return np.imag(zm) / np.pi
+    def make():
+        def dens(xs):
+            zm = pair_minus(sys.sym, i, np.atleast_1d(np.asarray(xs, dtype=float)),
+                            sys.struct)
+            return np.imag(zm) / np.pi
 
-    handle = MeasureHandle(
-        cut=cut, density=dens, endpoint_exponents=(0.5, 0.5),
-        tail_exponent=1.0 / sym.p, finite_mass=False, name=f"flat_rho_{i}",
-    )
-    sys._rules[key] = build_fixed_rule(handle, level=level)
-    return sys._rules[key]
+        handle = MeasureHandle(
+            cut=sys.struct.cut(i), density=dens, endpoint_exponents=(0.5, 0.5),
+            tail_exponent=1.0 / sys.sym.p, name=f"flat_rho_{i}",
+        )
+        return build_fixed_rule(handle, level=7)
+
+    return sys._once(("flat", i), make)
 
 
-def _rho1_rule(sys: NikishinSystem, level: int = 8) -> FixedRule:
-    key = ("rho", 1, level)
-    if key not in sys._rules:
-        sys._rules[key] = build_fixed_rule(sys.rho[0], level=level)
-    return sys._rules[key]
+def _flat_chain_rule(sys: NikishinSystem, j: int, k: int) -> tuple[FixedRule, float]:
+    """Frozen rule for (x - lam_{j+1}) drho_{j+1,k}(x), plus its tail degree."""
 
+    def make():
+        chain = _chain(sys.rho, j + 1, k)
+        lam_next = sys.struct.lam[j]
+
+        def dens(xs):
+            xa = np.asarray(xs, dtype=float)
+            return (xa - lam_next) * chain.density(xa)
+
+        tail = chain.tail_exponent + 1.0
+        handle = MeasureHandle(
+            cut=chain.cut, density=dens,
+            endpoint_exponents=(chain.endpoint_exponents[0] + 1.0,
+                                chain.endpoint_exponents[1] + 1.0),
+            tail_exponent=tail, name=f"flat_rho_{j + 1},{k}",
+        )
+        return build_fixed_rule(handle, level=7), tail
+
+    return sys._once(("flatchain", j, k), make)
+
+
+# ---- second-type functions ----
 
 def _psi_stage_values(sys: NikishinSystem, n: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values of Psi_{n,j} at the nodes of the stage-(j+1) flat rule.
 
     Returns (nodes, weights, psi values) ready for one more transform.
-    Cached on the system because the arrays do not depend on the final
+    Kept on the system because the arrays do not depend on the final
     evaluation point.
     """
-    key = (n, j)
-    if key in sys._psi:
-        return sys._psi[key]
-    ndx = multi_index(n, sys.sym.p)
-    rule_next = _flat_rho_rule(sys, j + 1)
-    decay = ndx.components[j - 1] + 2 - j
-    # tail mask: Psi_{n,j}(t)/(lam-t) falls like t^{-decay-1} against the
-    # stage weight, which itself grows like t^{1/p}
-    keep = rule_next.logw - (decay + 1) * rule_next.logx > _LOG_FLOOR
-    t = rule_next.x[keep]
-    w = rule_next.w[keep]
-    psi = _psi_at(sys, n, j, t)
-    sys._psi[key] = (t, w, psi)
-    return sys._psi[key]
+
+    def make():
+        decay = multi_index(n, sys.sym.p).components[j - 1] + 2 - j
+        rule_next = _flat_rho_rule(sys, j + 1)
+        # tail mask: Psi_{n,j}(t)/(lam-t) falls like t^{-decay-1} against the
+        # stage weight, which itself grows like t^{1/p}
+        keep = rule_next.logw - (decay + 1) * rule_next.logx > _LOG_FLOOR
+        t = rule_next.x[keep]
+        return t, rule_next.w[keep], _psi_at(sys, n, j, t)
+
+    return sys._once(("stage", n, j), make)
 
 
-def _psi_far_coeffs(sys: NikishinSystem, n: int, terms: int = 40) -> np.ndarray:
-    """Moments int t^m Q_n drho_1 for m = n_1, ..., n_1 + terms - 1.
+def _psi_far_coeffs(sys: NikishinSystem, n: int) -> tuple[int, np.ndarray]:
+    """(n_1, moments int t^m Q_n drho_1 for m = n_1, ..., n_1 + _FAR_TERMS - 1).
 
     They power the 1/lam expansion of Psi_{n,1}.  Moments below n_1
     vanish by orthogonality and are pinned to zero instead of being kept
     as quadrature noise, which would otherwise dominate far out where
     the true value is below the double-precision floor.
     """
-    key = ("far1", n)
-    if key not in sys._psi:
+
+    def make():
         rule = _rho1_rule(sys)
         m0 = int(multi_index(n, sys.sym.p).components[0])
         q = eval_Q(sys.sym, n, rule.x)
-        c = np.array(
-            [np.sum(rule.w * rule.x ** (m0 + i) * q) for i in range(terms)]
+        return m0, np.array(
+            [np.sum(rule.w * rule.x ** (m0 + i) * q) for i in range(_FAR_TERMS)]
         )
-        sys._psi[key] = (m0, c)
-    return sys._psi[key]
+
+    return sys._once(("far", n), make)
 
 
 def _psi_at(sys: NikishinSystem, n: int, j: int, lam: np.ndarray) -> np.ndarray:
     """Psi_{n,j} evaluated at an array of points off Gamma_j."""
-    if j == 1:
-        rule = _rho1_rule(sys)
-        lo, hi = sys.struct.cut(1).endpoints()
-        rfar = 3.0 * max(abs(lo), abs(hi))
-        flat = lam.reshape(-1)
-        out = np.empty(flat.shape, dtype=complex)
-        far = np.abs(flat) > rfar
-        if far.any():
-            # direct summation cancels catastrophically once the true
-            # value drops below eps * max|Q_n|; switch to the moment
-            # expansion, whose coefficients are well conditioned
-            m0, c = _psi_far_coeffs(sys, n)
-            zi = 1.0 / flat[far]
-            acc = np.zeros(zi.shape, dtype=complex)
-            for cm in c[::-1]:
-                acc = acc * zi + cm
-            out[far] = acc * zi ** (m0 + 1)
-        if not far.all():
-            idx = np.flatnonzero(~far)
-            q = eval_Q(sys.sym, n, rule.x)
-            for s in range(0, idx.size, _PSI_ROWS):
-                blk = flat[idx[s : s + _PSI_ROWS]]
-                out[idx[s : s + _PSI_ROWS]] = (
-                    rule.w * q / (blk[:, None] - rule.x)
-                ).sum(axis=1)
-        return out.reshape(lam.shape)
-    t, w, psi = _psi_stage_values(sys, n, j - 1)
-    out = np.empty(lam.shape, dtype=complex)
-    for s in range(0, lam.size, _PSI_ROWS):
-        blk = lam.reshape(-1)[s : s + _PSI_ROWS]
-        out.reshape(-1)[s : s + _PSI_ROWS] = (w * psi / (blk[:, None] - t)).sum(axis=1)
-    return out
+    flat = lam.reshape(-1)
+    if j > 1:
+        t, w, psi = _psi_stage_values(sys, n, j - 1)
+        return _cauchy_sum(flat, t, w * psi, _PSI_ROWS).reshape(lam.shape)
+    rule = _rho1_rule(sys)
+    lo, hi = sys.struct.cut(1).endpoints()
+    far = np.abs(flat) > 3.0 * max(abs(lo), abs(hi))
+    out = np.empty(flat.shape, dtype=complex)
+    if far.any():
+        # direct summation cancels catastrophically once the true
+        # value drops below eps * max|Q_n|; switch to the moment
+        # expansion, whose coefficients are well conditioned
+        m0, c = _psi_far_coeffs(sys, n)
+        zi = 1.0 / flat[far]
+        acc = np.zeros(zi.shape, dtype=complex)
+        for cm in c[::-1]:
+            acc = acc * zi + cm
+        out[far] = acc * zi ** (m0 + 1)
+    if not far.all():
+        wq = rule.w * eval_Q(sys.sym, n, rule.x)
+        out[~far] = _cauchy_sum(flat[~far], rule.x, wq, _PSI_ROWS)
+    return out.reshape(lam.shape)
 
 
 def _check_tail(sys: NikishinSystem, n: int, j: int) -> None:
@@ -332,3 +339,69 @@ def psi_values(sys: NikishinSystem, n: int, j: int, lams) -> np.ndarray:
     """Psi_{n,j} on an array of points off Gamma_j (shares the stage cache)."""
     _check_tail(sys, n, j)
     return _psi_at(sys, n, j, np.asarray(lams, dtype=complex))
+
+
+# ---- orthogonalities ----
+
+def orthogonality_residual(sys: NikishinSystem, qn: np.ndarray, j: int,
+                           k: int) -> tuple[float, float]:
+    """(residual, scale) of int x^k Q_n(x) dsigma_j(x) by the frozen sigma_j rule.
+
+    The residual is the integral's modulus, the scale
+    int |x^k Q_n| d|sigma_j| its natural size.
+    """
+    coef = np.asarray(qn, dtype=float)
+    rule = sys.sigma_rule(j)
+
+    def f(x):
+        return x**k * np.polynomial.polynomial.polyval(x, coef)
+
+    val, _ = rule_apply(rule, f)
+    fv = np.abs(rule.x) ** k * np.abs(np.polynomial.polynomial.polyval(rule.x, coef))
+    return abs(val), float((np.abs(rule.w) * fv).sum())
+
+
+def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
+                              j: int, k: int, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(residuals, scales) of int x^nu Psi_{n,j}(x) (x - lam_{j+1}) drho_{j+1,k}(x),
+    nu = 0..nu_max, from one evaluation of Psi_{n,j}.
+
+    The integrals vanish for nu <= n_k - delta_j - 1 (delta_1 = 0, else 1);
+    nu = n_k - delta_j is the first live moment.  Each scale is
+    int |x^nu Psi_{n,j}| |x - lam_{j+1}| d|rho_{j+1,k}|.
+    """
+    if not (1 <= j <= sym.p - 1 and j + 1 <= k <= sym.p):
+        raise ValueError("need 1 <= j <= p-1 and j+1 <= k <= p")
+    rule, tail = _flat_chain_rule(sys, j, k)
+    decay = multi_index(n, sym.p).components[j - 1] + 2 - j
+    if nu_max - decay + tail >= -1.0:
+        raise TailDivergence(
+            f"integrand tail degree {nu_max - decay + tail:.3f} is not integrable"
+        )
+    # logx >= 0, so a node kept for one nu is kept for every larger nu
+    keep = rule.logw + (nu_max - decay) * rule.logx > _LOG_FLOOR
+    x, w, logw, logx = rule.x[keep], rule.w[keep], rule.logw[keep], rule.logx[keep]
+    psi = psi_values(sys, n, j, x)
+    residuals, scales = np.empty(nu_max + 1), np.empty(nu_max + 1)
+    for nu in range(nu_max + 1):
+        live = logw + (nu - decay) * logx > _LOG_FLOOR
+        terms = w[live] * x[live] ** nu * psi[live]
+        residuals[nu], scales[nu] = abs(terms.sum()), np.abs(terms).sum()
+    return residuals, scales
+
+
+def orthogonality_with_psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem,
+                                 n: int, nu: int,
+                                 zeros: np.ndarray) -> tuple[float, float]:
+    """(residual, scale) of int x^nu Q_n(x) drho_1(x) / Q_{n,2}(x).
+
+    Q_{n,2} is the monic polynomial vanishing at `zeros`, the second-kind
+    zeros from `asymptotics.psi_zeros`; the integral vanishes for
+    nu < N_{n,1}.
+    """
+    rule = _rho1_rule(sys)
+    q = eval_Q(sym, n, rule.x)
+    den = np.prod(rule.x[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
+    fv = rule.x**nu * q / den
+    terms = rule.w * fv
+    return abs(float(terms.sum())), float(np.abs(terms).sum())

@@ -72,8 +72,8 @@ class MeasureHandle:
     endpoint_exponents declares the power-law behavior of the density at
     the (lo, hi) endpoints; a slot facing an infinite end is ignored.
     tail_exponent is the power-law degree of the density at infinity for
-    rays, None for intervals.  finite_mass records whether f = 1 is
-    integrable.  The density callable must accept numpy arrays and be
+    rays, None for intervals; it also says whether the mass is finite
+    (below -1).  The density callable must accept numpy arrays and be
     pointwise: its value at x must not depend on the other points in the
     call, since rules and sums evaluate several levels' nodes at once.
     """
@@ -82,7 +82,6 @@ class MeasureHandle:
     density: Callable[[np.ndarray], np.ndarray]
     endpoint_exponents: tuple[float, float]
     tail_exponent: float | None
-    finite_mass: bool
     name: str = ""
 
 
@@ -320,29 +319,20 @@ def cauchy_transform(
         win, lambda x: np.ones_like(x), f_sub, 0.0, rel_tol, abs_tol, 13, scale
     )
 
+    al, ah = m.endpoint_exponents
+    sides = (
+        _Piece("ray_down", w1, -math.inf) if math.isinf(cut.lo)
+        else _Piece("interval", cut.lo, w1, alpha_lo=al),
+        _Piece("ray_up", w2, math.inf) if math.isinf(cut.hi)
+        else _Piece("interval", w2, cut.hi, alpha_hi=ah),
+    )
     outer = 0.0 + 0.0j
-    if cut.lo < w1 and math.isfinite(cut.lo):
-        outer += _sum_piece(
-            _Piece("interval", cut.lo, w1, alpha_lo=m.endpoint_exponents[0]),
-            m.density, fker, -1.0, rel_tol, abs_tol,
-            _DEFAULT_MAX_LEVEL + 2, scale,
-        ).value
-    elif math.isinf(cut.lo):
-        outer += _sum_piece(
-            _Piece("ray_down", w1, -math.inf), m.density, fker, -1.0,
-            rel_tol, abs_tol, _DEFAULT_MAX_LEVEL + 2, scale,
-        ).value
-    if w2 < cut.hi and math.isfinite(cut.hi):
-        outer += _sum_piece(
-            _Piece("interval", w2, cut.hi, alpha_hi=m.endpoint_exponents[1]),
-            m.density, fker, -1.0, rel_tol, abs_tol,
-            _DEFAULT_MAX_LEVEL + 2, scale,
-        ).value
-    elif math.isinf(cut.hi):
-        outer += _sum_piece(
-            _Piece("ray_up", w2, math.inf), m.density, fker, -1.0,
-            rel_tol, abs_tol, _DEFAULT_MAX_LEVEL + 2, scale,
-        ).value
+    for piece in sides:
+        if piece.kind != "interval" or piece.a < piece.b:
+            outer += _sum_piece(
+                piece, m.density, fker, -1.0, rel_tol, abs_tol,
+                _DEFAULT_MAX_LEVEL + 2, scale,
+            ).value
 
     val = closed + rest.value + outer
     if lam.imag == 0.0 and abs(val.imag) < 1e-9 * (1.0 + abs(val.real)):

@@ -17,8 +17,6 @@ from .asymptotics import (
     counting_compare,
     gen_spectrum,
     hp_error_order,
-    orthogonality_second_kind,
-    orthogonality_with_psi_zeros,
     psi_zeros,
     ratio_rate,
     widom_psi,
@@ -31,7 +29,9 @@ from .branches import (
     solve_grid,
 )
 from .cubic import CubicParams, cubic_build, cubic_rho1_density, cubic_rho2_density
-from .nikishin import NikishinSystem, build_system, orthogonality_residual, psi_values
+from .nikishin import (NikishinSystem, build_system, orthogonality_residual,
+                       orthogonality_second_kind, orthogonality_with_psi_zeros,
+                       psi_values)
 # zeros_Q stays bound here: perfbench's tracer test wraps and calls verify.zeros_Q
 from .polyseq import eval_Q, gen_Q, moments, multi_index, zeros_Q, zeros_Q_levels  # noqa: F401
 from .quadrature import MeasureHandle, cauchy_transform, integrate
@@ -305,8 +305,7 @@ def check_cubic(params: CubicParams,
         cut=struct.cut(1),
         density=lambda xs: np.array([cubic_rho1_density(params, float(v))
                                      for v in np.atleast_1d(xs)]),
-        endpoint_exponents=(0.5, 0.5), tail_exponent=None,
-        finite_mass=True, name="cubic_rho1",
+        endpoint_exponents=(0.5, 0.5), tail_exponent=None, name="cubic_rho1",
     )
     mass = float(np.real(integrate(handle).value))
     passed = abs(mass - 1.0) < 1e-8

@@ -207,8 +207,9 @@ def test_orthogonality_second_kind_tail_divergence(can, can_sys):
 
 
 def test_orthogonality_with_psi_zeros(can, can_sys):
+    zeros = psi_zeros(can, can_sys, 6)
     for nu in range(3):
-        resid, scale = orthogonality_with_psi_zeros(can, can_sys, 6, nu)
+        resid, scale = orthogonality_with_psi_zeros(can, can_sys, 6, nu, zeros)
         assert resid < 1e-10 * scale
 
 

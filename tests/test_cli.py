@@ -102,6 +102,18 @@ def test_spectrum_json(capsys):
     assert json.loads(out)["roots"] == []
 
 
+def test_spectrum_p3(capsys):
+    # P_{20,1} of a p = 3 symbol: N_{20,1} - 1 = 12 roots on the ray
+    # Gamma_2 = (-inf, -5.4704], counted and interlaced with the Psi_{20,1} zeros
+    code, out, _ = run_cli(
+        ["spectrum", "--coeffs", "0,9.99,6.545,0.74", "--n", "20", "--k", "1"], capsys
+    )
+    assert code == 0
+    roots = np.array(json.loads(out)["roots"])
+    assert roots.size == 12
+    assert np.all(np.diff(roots) > 0) and roots[-1] < -5.47
+
+
 def test_hp_json(capsys):
     code, out, _ = run_cli(["hp", "--coeffs", "0,0.25", "--n", "4", "--j", "1"], capsys)
     assert code == 0

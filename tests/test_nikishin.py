@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from symlab import (
     mu_density,
     multi_index,
     orthogonality_residual,
+    orthogonality_second_kind,
     psi_values,
     s_measure,
     solve_grid,
@@ -152,3 +154,24 @@ def test_psi_values_level_range(can_sys):
         psi_values(can_sys, 5, 0, np.array([2.5 + 0j]))
     with pytest.raises(ValueError):
         psi_values(can_sys, 5, 3, np.array([2.5 + 0j]))
+
+
+def test_chain_pinned_bits(can, can_sys):
+    # sha256 of values read off the frozen chain rules; a last-bit drift in
+    # the rho_1, flat rho_2, flat chain or product-measure rules changes them.
+    # The probes sit near and far from both cuts, so Psi_{n,1} takes both its
+    # direct sum and its far-field moment expansion
+    probes = np.array([0.5 + 1e-3j, -4.7 + 1e-2j, 3.0 - 2.0j, -8.0 + 1e-3j,
+                       10.0 + 5.0j, 40.0 + 0.0j, -60.0 + 10.0j, 200.0j])
+    h = hashlib.sha256()
+    for n in range(9):
+        for j in (1, 2):
+            h.update(psi_values(can_sys, n, j, probes).tobytes())
+    assert h.hexdigest() == "0fc42918e5ea006266b8abc54bd2a9fd052d5cf37d073bd1b0ac484bf7545491"
+    resid, scale = orthogonality_second_kind(can, can_sys, 7, 1, 2, 1)
+    assert hashlib.sha256(resid.tobytes() + scale.tobytes()).hexdigest() == (
+        "ba5a9b936cbcb1801865e7b2d843beb0bbf6a510c76fd01bb824f8c26d25637d")
+    g1 = can_sys.struct.cut(1)
+    xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
+    assert hashlib.sha256(can_sys.sigma[1].density(xs).tobytes()).hexdigest() == (
+        "4b59354da303cdf221e5062204ee4d3fac73f2a1becec5646d24a8ea48ab6405")

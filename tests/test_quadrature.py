@@ -12,9 +12,10 @@ from symlab import (
     rho_measure,
     rule_apply,
     s_measure,
+    solve_grid,
 )
 from symlab.quadrature import _ts_new_nodes
-from symlab.symbol import Cut
+from symlab.symbol import Cut, eval_symbol
 
 
 def interval(lo, hi):
@@ -40,7 +41,6 @@ def test_arcsine_endpoint_singularity():
         density=lambda x: 1.0 / (math.pi * np.sqrt(1.0 - x * x)),
         endpoint_exponents=(-0.5, -0.5),
         tail_exponent=0.0,
-        finite_mass=True,
     )
     res = integrate(m)
     assert res.value == pytest.approx(1.0, abs=1e-12)
@@ -60,7 +60,6 @@ def test_ray_algebraic_tail():
         density=lambda x: 1.0 / x**2,
         endpoint_exponents=(0.0, 0.0),
         tail_exponent=-2.0,
-        finite_mass=True,
     )
     res = integrate(m)
     assert res.value == pytest.approx(1.0, abs=1e-10)
@@ -89,6 +88,20 @@ def test_cauchy_transform_semicircle(cheb):
         assert got == pytest.approx(2.0 * small, rel=1e-9)
 
 
+def test_cauchy_transform_near_ray(can, can_struct):
+    # the log-derivative identity z_k'/z_k + hat s_k - hat s_{k+1} = 0 within
+    # 1e-3 of the ray Gamma_2 = (-inf, -5], where the near-cut path sums a
+    # ray on one side of its local window and an interval on the other
+    lams = np.array([-8 + 1e-4j, -35 - 2e-3j, -5.5 + 1e-5j])
+    z = solve_grid(can, lams)
+    s_hat = np.zeros((4, lams.size), dtype=complex)
+    for i in (1, 2):
+        m = s_measure(can, i, can_struct)
+        s_hat[i] = [-cauchy_transform(m, lam) for lam in lams]
+    log_deriv = (1.0 / eval_symbol(can, z)[2] / z).T
+    assert np.abs(log_deriv + s_hat[:-1] - s_hat[1:]).max() < 1e-8
+
+
 def test_quadresult_error_is_honest(can):
     # rho_2 itself has a nonintegrable t^(-1/2) tail; the counting measure
     # s_2 on the same ray is the finite one, with mass 1/2
@@ -110,7 +123,6 @@ def test_scaled_interval_masses(c):
         density=lambda x: np.ones_like(x),
         endpoint_exponents=(0.0, 0.0),
         tail_exponent=0.0,
-        finite_mass=True,
     )
     assert integrate(m).value == pytest.approx(c, rel=1e-11)
 
