@@ -1,9 +1,12 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symlab import (
     build_symbol,
     counting_compare,
+    critical_structure,
     eval_Q,
     gen_spectrum,
     hp_error_order,
@@ -17,9 +20,18 @@ from symlab import (
     zeros_Q,
     bnk,
 )
-from symlab.asymptotics import ToeplitzSection, _prefactor, _widom_terms
+from symlab.asymptotics import (
+    ToeplitzSection,
+    _mp_coeffs,
+    _mp_z0,
+    _prefactor,
+    _widom_terms,
+    _z0_seeds,
+)
 from symlab.branches import solve_grid
-from symlab.errors import TailDivergence
+from symlab.cubic import CubicParams, cubic_build
+from symlab.errors import ConvergenceFailure, NearBranchPoint, OnCut, TailDivergence
+from symlab.verify import _offcut_box
 
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j]
 
@@ -87,6 +99,68 @@ def test_ratio_rate_bounded_by_phi(can, can_struct):
     probe = 10 + 5j
     rate = ratio_rate(can, 2, [probe], 40)
     assert rate[0] <= abs(conformal_map(can_struct.cut(1), probe)) + 0.02
+
+
+def test_hp_error_orders_at_depth(can, cheb):
+    # the two terms cancel (n - j + n_j + 1) * 6 digits at lambda = 1e6,
+    # more than (n + 2) * 6 + 40 digits hold
+    grid = np.geomspace(1e3, 1e6, 10)
+    assert hp_error_order(can, 30, 2, grid) == pytest.approx(-16, abs=0.1)
+    assert hp_error_order(cheb, 40, 1, grid) == pytest.approx(-41, abs=0.05)
+
+
+def test_hp_error_order_refuses_undefined_z0(cheb):
+    # (0, 1e12) has Gamma_1 = [-2e6, 2e6], so z0 is one of a conjugate pair
+    with pytest.raises(OnCut):
+        hp_error_order(build_symbol(1, (0.0, 1e12)), 3, 1, np.geomspace(1e3, 1e6, 10))
+    # lambda = 1 is the branch point of (0, 1/4): z0 = z1 = 2
+    with pytest.raises(NearBranchPoint):
+        hp_error_order(cheb, 2, 1, [1.0, 10.0, 100.0])
+
+
+def test_mp_z0_step_cap_raises(cheb):
+    # lambda = 1/2 lies on Gamma_1: a real iteration has no root to find,
+    # and a seed at the critical point z = 1 gives a flat step
+    with mp.workdps(30):
+        for seed in (1.3 + 0j, 1.0 + 0j):
+            with pytest.raises(ConvergenceFailure):
+                _mp_z0(cheb, mp.mpf(0.5), seed)
+
+
+def test_ratio_rate_resolves_every_probe(can, can_struct):
+    # at 60 digits the difference at this desk probe is exactly 0; 120 and
+    # 240 digits agree on rate 0.0853177...
+    probe = _offcut_box(can_struct, 10, 0.5)[3]
+    rate = ratio_rate(can, 1, [probe], 40)[0]
+    assert rate == pytest.approx(0.08531770502229279, rel=1e-12)
+
+
+def _admissible_symbol(draw):
+    if draw(st.booleans()):
+        a0 = draw(st.floats(-3.0, 3.0))
+        a1 = 10.0 ** draw(st.floats(-3.0, 3.0))
+        return build_symbol(1, (a0, a1))
+    s = 10.0 ** draw(st.floats(-1.0, 1.0))
+    sym, _ = cubic_build(CubicParams(x1=-s * draw(st.floats(1.5, 8.0)), x2=-s))
+    return sym
+
+
+@settings(deadline=None, max_examples=10, derandomize=True, database=None)
+@given(data=st.data())
+def test_mp_z0_is_polyroots_minimum(data):
+    sym = _admissible_symbol(data.draw)
+    struct = critical_structure(sym)
+    g1 = struct.cut(1)
+    offsets = np.array([0.05, 1.0, 30.0]) * g1.scale()
+    reals = np.concatenate((np.geomspace(1e3, 1e6, 3), g1.hi + offsets))
+    for lams in (reals, _offcut_box(struct, 4, 0.05 * g1.scale())):
+        for lam, seed in zip(lams, _z0_seeds(sym, lams)):
+            with mp.workdps(data.draw(st.sampled_from((30, 60, 137)))):
+                lam_mp = mp.mpmathify(lam)
+                want = min(mp.polyroots(_mp_coeffs(sym, lam_mp), maxsteps=200,
+                                        extraprec=80), key=abs)
+                got = _mp_z0(sym, lam_mp, seed)
+            assert type(got) is type(want) and got == want
 
 
 def test_psi_zeros_frozen(can, can_sys):

@@ -122,6 +122,13 @@ def test_hp_json(capsys):
     assert doc["slope"] == pytest.approx(-5.0, abs=0.05)
 
 
+def test_hp_on_cut_is_named(capsys):
+    # the hp grid [1e3, 1e6] lies inside Gamma_1 = [-2e6, 2e6] of (0, 1e12)
+    code, _, err = run_cli(["hp", "--coeffs", "0,1e12", "--n", "3", "--j", "1"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "OnCut"
+
+
 def test_exit_codes(capsys):
     # config errors: malformed coefficients, missing source, both sources
     code, _, err = run_cli(["analyze", "--coeffs", "abc"], capsys)
