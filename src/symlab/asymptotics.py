@@ -17,11 +17,12 @@ against the conformal map, the generalized spectra P_{n,k} as
 determinants of shifted Toeplitz sections, and the related minors B_{n,k}
 built from the moment functions Phi_{m,k}.
 
-High-n differences like Q_n z0^j - Q_{n-j} cancel far below double
-resolution, so those two fits run in extended precision on the exact
-coefficient tables.  Their z0 comes from one batched double-precision
-branch solve per fit, polished by mpmath Newton steps; each fit sizes
-its precision to the cancellation it has to survive.
+The Hermite-Pade and ratio fits need Q_n z0^j - Q_{n-j}, whose two
+terms cancel far below double resolution at high n or large lambda.
+The l = 0 sum gives the difference directly, with the cancelling z0
+term gone, so both fits run in double precision from one batched
+branch solve; they rest on the same identity that `verify`'s widom_l0
+check tests against Q_n independently.
 """
 
 from __future__ import annotations
@@ -29,17 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    CountMismatch,
-    NearBranchPoint,
-    OnCut,
-    RootCountMismatch,
-    Underflow,
-)
+from .errors import CountMismatch, NearBranchPoint, OnCut, RootCountMismatch
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
 from .branches import s_measure, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
@@ -112,27 +105,14 @@ def widom_psi(sym: SymbolCoeffs, n: int, l: int, lam):
     return (_prefactor(sym) * terms).reshape(np.shape(lam))
 
 
-# ---- extended-precision fits ----
+# ---- Hermite-Pade and ratio fits ----
 
-_NEWTON_STEPS = 60   # from a double seed, 600 digits take about 6 steps
-_KEEP_DIGITS = 20    # digits a re-evaluated difference must keep
-_MAX_DPS = 10000
+def _fit_branches(sym: SymbolCoeffs, lams: np.ndarray) -> np.ndarray:
+    """The branch tuples at each lambda, from one batched solve.
 
-
-def _mp_coeffs(sym: SymbolCoeffs, lam) -> list:
-    # z (a(z) - lam) = a_p z^{p+1} + ... + a_1 z^2 + (a_0 - lam) z + 1, high first
-    out = [mp.mpf(sym.a[k]) for k in range(sym.p, 0, -1)]
-    out.append(mp.mpf(sym.a[0]) - mp.mpmathify(lam))
-    out.append(mp.mpf(1))
-    return out
-
-
-def _z0_seeds(sym: SymbolCoeffs, lams: np.ndarray) -> np.ndarray:
-    """The double-precision z0 at each lambda, from one batched solve.
-
-    Raises `NearBranchPoint` where z0 and z1 nearly meet, so that the seed
-    could lead Newton to the wrong root, and `OnCut` at a real lambda on
-    Gamma_1, where z0 is one of a conjugate pair of equal modulus.
+    Raises `NearBranchPoint` where z0 and z1 nearly meet, and `OnCut` at a
+    real lambda on Gamma_1, where z0 is one of a conjugate pair of equal
+    modulus and so undefined.
     """
     z = solve_grid(sym, lams)
     z0, z1 = z[:, 0], z[:, 1]
@@ -144,133 +124,54 @@ def _z0_seeds(sym: SymbolCoeffs, lams: np.ndarray) -> np.ndarray:
     if on_cut.any():
         i = int(np.argmax(on_cut))
         raise OnCut(f"lambda = {lams[i].real:.8g} lies on Gamma_1, where z0 is undefined")
-    return z0
+    return z
 
 
-def _mp_z0(sym: SymbolCoeffs, lam, seed: complex):
-    """The root z0 of z (a(z) - lam) nearest `seed`, to working precision.
+def _fit_logs(sym: SymbolCoeffs, z: np.ndarray, n: int, j: int):
+    """log|Q_n| and log|Q_n z0^j - Q_{n-j}| at each row of branch tuples z.
 
-    Newton's method runs at the working precision + 80 bits until a step
-    is at most 4 eps |z|, in mpf when lam is real and in mpc otherwise,
-    and the root is rounded to the working precision.  Seeded with the
-    double-precision z0 this gives the smallest-modulus root of mpmath's
-    all-roots solver (80 extra bits) bit for bit, at a fraction of the
-    cost; tests/test_asymptotics.py holds that solver as the oracle.
+    By the l = 0 Widom sum, Q_n z0^j - Q_{n-j} is the prefactor times
+    sum_k z_k^{-(n+1)} (z0^j - z_k^j) / prod_{i!=k}(z_i - z_k): the k = 0
+    term, which carries the whole cancellation, is exactly 0.  Each sum
+    runs on powers divided by its leading modulus |z_0|^{n+1} or
+    |z_1|^{n+1}, so no power overflows, and the scales return in logs.
     """
-    coeffs = _mp_coeffs(sym, lam)
-    real = mp.im(lam) == 0
-    if real:
-        coeffs = [mp.re(c) for c in coeffs]
-    with mp.extraprec(80):
-        z = mp.mpf(seed.real) if real else mp.mpc(seed)
-        tol = 4 * mp.eps
-        for _ in range(_NEWTON_STEPS):
-            f, df = coeffs[0], 0
-            for c in coeffs[1:]:
-                df = df * z + f
-                f = f * z + c
-            dz = f / df if df else mp.nan  # nan never converges: the cap raises
-            z -= dz
-            if abs(dz) <= tol * abs(z):
-                break
-        else:
-            raise ConvergenceFailure(
-                f"Newton for z0 did not converge in {_NEWTON_STEPS} steps at lambda = {lam}")
-    return +z
-
-
-def _mp_poly(coefs, x):
-    acc = mp.mpf(0)
-    for c in reversed(coefs):
-        acc = acc * x + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    return acc
-
-
-def _resolved(evaluate, dps: int, need: float | None):
-    """evaluate() at dps decimal digits, again where its difference is lost.
-
-    evaluate returns (difference, reference, result), the difference
-    formed by cancellation against the reference.  Where fewer than
-    `need` digits of it survive, or it is exactly 0, evaluate runs again
-    at a precision sized to keep `need` digits (doubled when nothing
-    survived), up to `_MAX_DPS`.  need=None accepts the first result.
-    """
-    while True:
-        with mp.workdps(dps):
-            diff, ref, result = evaluate()
-            if need is None:
-                return result
-            kept = dps + float(mp.log10(abs(diff) / abs(ref))) if diff else -math.inf
-        if kept >= need:
-            return result
-        dps = 2 * dps if math.isinf(kept) else dps + int(need - kept) + 10
-        if dps > _MAX_DPS:
-            raise Underflow(f"difference not resolved at {_MAX_DPS} digits")
+    r0, r1 = np.abs(z[:, :1]), np.abs(z[:, 1:2])
+    q = _widom_terms(z, 0, (r0 / z) ** (n + 1))
+    powers = np.zeros_like(z)
+    powers[:, 1:] = (r1 / z[:, 1:]) ** (n + 1) * (z[:, :1] ** j - z[:, 1:] ** j)
+    diff = _widom_terms(z, 0, powers)
+    log_pref = math.log(abs(_prefactor(sym)))
+    return (log_pref + np.log(np.abs(q)) - (n + 1) * np.log(r0[:, 0]),
+            log_pref + np.log(np.abs(diff)) - (n + 1) * np.log(r1[:, 0]))
 
 
 def hp_error_order(sym: SymbolCoeffs, n: int, j: int, lambda_grid) -> float:
     """Fitted log-log slope of |Q_n z0^j - Q_{n-j}| over a real grid.
 
-    The expected slope is -(n_j + 1).  Both polynomial values and z0 are
-    computed in extended precision.  The two terms cancel about
-    (n - j + n_j + 1) log10 max|lambda| digits; where (n + 2) log10
-    max|lambda| + 40 digits leave fewer than 4 of them, the precision is
-    sized to the cancellation and every point keeps 20 digits.
+    The expected slope is -(n_j + 1).  The difference comes from the
+    l = 0 Widom sum with its cancelling term removed (see `_fit_logs`),
+    the identity that `verify`'s widom_l0 check tests against Q_n.
     """
     if not 1 <= j <= sym.p:
         raise ValueError("need 1 <= j <= p")
     grid = np.asarray(lambda_grid, dtype=float)
-    seq = gen_Q(sym, n)
-    qn, qnj = seq.poly(n), seq.poly(n - j)
-    nj = multi_index(n, sym.p).components[j - 1]
-    digits = math.log10(max(abs(grid).max(), 10.0))
-    cancel = (n - j + nj + 1) * digits
-    dps, need = int((n + 2) * digits) + 40, None
-    if dps - cancel < 4:
-        dps, need = int(cancel) + 40, _KEEP_DIGITS
-    seeds = _z0_seeds(sym, grid)
-
-    def point(lam, seed):
-        lam_mp = mp.mpf(lam)
-        a = _mp_poly(qn, lam_mp) * _mp_z0(sym, lam_mp, seed) ** j
-        diff = a - _mp_poly(qnj, lam_mp)
-        err = abs(diff)
-        if need is None and err < mp.mpf("1e-300"):
-            raise Underflow(f"difference {mp.nstr(err, 5)} at lambda={lam}")
-        return diff, a, float(mp.log10(err)) if err else math.nan
-
-    logs = [_resolved(lambda: point(lam, seed), dps, need)
-            for lam, seed in zip(grid, seeds)]
-    slope = np.polyfit(np.log10(grid), np.array(logs), 1)[0]
-    return float(slope)
+    _, log_diff = _fit_logs(sym, _fit_branches(sym, grid), n, j)
+    return float(np.polyfit(np.log(grid), log_diff, 1)[0])
 
 
 def ratio_rate(sym: SymbolCoeffs, j: int, K_probe, n: int) -> np.ndarray:
     """(n + n_j)-th root of |z0^j - Q_{n-j}/Q_n| at each probe point.
 
-    Runs at 60 digits; a probe where fewer than 20 digits of the
-    difference survive, or none, runs again at a precision sized to it.
+    Both Q_n and the difference Q_n z0^j - Q_{n-j} come from the l = 0
+    Widom sum (see `_fit_logs`), so the rate holds at any depth n.
     """
     if not 1 <= j <= sym.p:
         raise ValueError("need 1 <= j <= p")
     probes = np.atleast_1d(np.asarray(K_probe, dtype=complex))
     nj = multi_index(n, sym.p).components[j - 1]
-    seq = gen_Q(sym, n)
-    qn, qnj = seq.poly(n), seq.poly(n - j)
-    seeds = _z0_seeds(sym, probes)
-
-    def probe(lam, seed):
-        lam_mp = mp.mpmathify(complex(lam))
-        zj = _mp_z0(sym, lam_mp, seed) ** j
-        diff = zj - _mp_poly(qnj, lam_mp) / _mp_poly(qn, lam_mp)
-        val = abs(diff)
-        if val and not float(val):  # below the double range: root it in mp
-            return diff, zj, float(mp.root(val, n + nj))
-        return diff, zj, float(val) ** (1.0 / (n + nj))
-
-    out = [_resolved(lambda: probe(lam, seed), 60, _KEEP_DIGITS)
-           for lam, seed in zip(probes, seeds)]
-    return np.array(out, dtype=float).reshape(probes.shape)
+    log_q, log_diff = _fit_logs(sym, _fit_branches(sym, probes.reshape(-1)), n, j)
+    return np.exp((log_diff - log_q) / (n + nj)).reshape(probes.shape)
 
 
 # ---- generalized spectra ----

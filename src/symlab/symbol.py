@@ -195,18 +195,23 @@ def _classify(sym: SymbolCoeffs, xs: np.ndarray) -> dict[int, str]:
     return kinds
 
 
+def _points(vals: np.ndarray) -> str:
+    # three significant digits at any scale: fixed decimals print tiny points as 0
+    return "[" + ", ".join(f"{v:.3g}" for v in vals.tolist()) + "]"
+
+
 def critical_structure(sym: SymbolCoeffs) -> CriticalStructure:
     """Solve q, verify the p-vs-1 hypothesis, classify, and build cuts."""
     roots = roots_single(critical_polynomial(sym))
     scale = max(1.0, float(np.abs(roots).max()))
     if np.any(np.abs(roots.imag) > _REALITY_TOL * (1.0 + np.abs(roots))):
         raise ComplexCriticalPoints(
-            f"critical polynomial has non-real roots: {np.round(roots, 6)}"
+            f"critical polynomial has non-real roots: {_points(roots)}"
         )
     xs = np.sort(roots.real)
     if np.min(np.diff(xs)) <= _GAP_TOL * scale:
         raise MultipleCriticalPoints(
-            f"critical points closer than {_GAP_TOL:g} * scale: {np.round(xs, 8)}"
+            f"critical points closer than {_GAP_TOL:g} * scale: {_points(xs)}"
         )
     neg = int(np.sum(xs < 0.0))
     pos = int(np.sum(xs > 0.0))

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from symlab import (
     build_symbol,
+    conformal_map,
     counting_compare,
     critical_structure,
     eval_Q,
+    gen_Q,
     gen_spectrum,
     hp_error_order,
     jacobi_perron,
@@ -20,17 +22,10 @@ from symlab import (
     zeros_Q,
     bnk,
 )
-from symlab.asymptotics import (
-    ToeplitzSection,
-    _mp_coeffs,
-    _mp_z0,
-    _prefactor,
-    _widom_terms,
-    _z0_seeds,
-)
+from symlab.asymptotics import ToeplitzSection, _prefactor, _widom_terms
 from symlab.branches import solve_grid
 from symlab.cubic import CubicParams, cubic_build
-from symlab.errors import ConvergenceFailure, NearBranchPoint, OnCut, TailDivergence
+from symlab.errors import NearBranchPoint, OnCut, TailDivergence
 from symlab.verify import _offcut_box
 
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j]
@@ -94,8 +89,6 @@ def test_hp_error_orders(can):
 
 
 def test_ratio_rate_bounded_by_phi(can, can_struct):
-    from symlab import conformal_map
-
     probe = 10 + 5j
     rate = ratio_rate(can, 2, [probe], 40)
     assert rate[0] <= abs(conformal_map(can_struct.cut(1), probe)) + 0.02
@@ -118,15 +111,6 @@ def test_hp_error_order_refuses_undefined_z0(cheb):
         hp_error_order(cheb, 2, 1, [1.0, 10.0, 100.0])
 
 
-def test_mp_z0_step_cap_raises(cheb):
-    # lambda = 1/2 lies on Gamma_1: a real iteration has no root to find,
-    # and a seed at the critical point z = 1 gives a flat step
-    with mp.workdps(30):
-        for seed in (1.3 + 0j, 1.0 + 0j):
-            with pytest.raises(ConvergenceFailure):
-                _mp_z0(cheb, mp.mpf(0.5), seed)
-
-
 def test_ratio_rate_resolves_every_probe(can, can_struct):
     # at 60 digits the difference at this desk probe is exactly 0; 120 and
     # 240 digits agree on rate 0.0853177...
@@ -145,22 +129,60 @@ def _admissible_symbol(draw):
     return sym
 
 
+def _oracle_fits(sym, n, j, lams):
+    """log10|Q_n z0^j - Q_{n-j}| and the ratio rate at each lambda, by mpmath:
+    exact Q tables, z0 the smallest root of z (a(z) - lam) by polyroots."""
+    seq = gen_Q(sym, n)
+    nj = multi_index(n, sym.p).components[j - 1]
+
+    def q(m, lam):
+        acc = mp.mpf(0)
+        for c in reversed(seq.poly(m)):
+            acc = acc * lam + mp.mpf(c.numerator) / c.denominator
+        return acc
+
+    logs, rates = [], []
+    with mp.workdps(400):
+        for lam in lams:
+            lam = mp.mpmathify(complex(lam))
+            # z (a(z) - lam) = a_p z^{p+1} + ... + a_1 z^2 + (a_0 - lam) z + 1
+            coeffs = [mp.mpf(sym.a[k]) for k in range(sym.p, 0, -1)]
+            coeffs += [mp.mpf(sym.a[0]) - lam, mp.mpf(1)]
+            z0 = min(mp.polyroots(coeffs, maxsteps=200, extraprec=200), key=abs)
+            qn = q(n, lam)
+            diff = abs(qn * z0 ** j - q(n - j, lam))
+            logs.append(float(mp.log10(diff)))
+            rates.append(float(mp.root(diff / abs(qn), n + nj)))
+    return np.array(logs), np.array(rates)
+
+
 @settings(deadline=None, max_examples=10, derandomize=True, database=None)
 @given(data=st.data())
-def test_mp_z0_is_polyroots_minimum(data):
+def test_fits_match_mpmath_oracle(data):
     sym = _admissible_symbol(data.draw)
     struct = critical_structure(sym)
-    g1 = struct.cut(1)
-    offsets = np.array([0.05, 1.0, 30.0]) * g1.scale()
-    reals = np.concatenate((np.geomspace(1e3, 1e6, 3), g1.hi + offsets))
-    for lams in (reals, _offcut_box(struct, 4, 0.05 * g1.scale())):
-        for lam, seed in zip(lams, _z0_seeds(sym, lams)):
-            with mp.workdps(data.draw(st.sampled_from((30, 60, 137)))):
-                lam_mp = mp.mpmathify(lam)
-                want = min(mp.polyroots(_mp_coeffs(sym, lam_mp), maxsteps=200,
-                                        extraprec=80), key=abs)
-                got = _mp_z0(sym, lam_mp, seed)
-            assert type(got) is type(want) and got == want
+    n = data.draw(st.integers(1, 8))
+    grid = np.geomspace(1e3, 1e6, 10)
+    probes = _offcut_box(struct, 4, 0.05 * struct.cut(1).scale())
+    for j in range(1, min(n, sym.p) + 1):
+        logs, _ = _oracle_fits(sym, n, j, grid)
+        want = np.polyfit(np.log10(grid), logs, 1)[0]
+        assert hp_error_order(sym, n, j, grid) == pytest.approx(want, abs=1e-3)
+        _, want = _oracle_fits(sym, n, j, probes)
+        np.testing.assert_allclose(ratio_rate(sym, j, probes, n), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_ratio_rate_at_depth(can, cheb, n):
+    # verify's bound at depth, where 60-digit arithmetic on the Q tables
+    # reads noise (rates up to 0.999 at n = 300)
+    for sym in (can, cheb):
+        struct = critical_structure(sym)
+        probes = _offcut_box(struct, 10, 0.5)
+        bound = np.abs([conformal_map(struct.cut(1), lam) for lam in probes]) + 0.02
+        for j in range(1, sym.p + 1):
+            rates = ratio_rate(sym, j, probes, n)
+            assert np.all(np.isfinite(rates)) and np.all(rates <= bound)
 
 
 def test_psi_zeros_frozen(can, can_sys):

@@ -224,6 +224,17 @@ def test_verify_fast_subprocess():
     assert "widom_l0" in names and "qn_zeros" in names
 
 
+def test_verify_runs_without_mpmath():
+    # mpmath is a test dependency only: symlab must import and verify
+    # with it unimportable
+    child = ("import sys; sys.modules['mpmath'] = None; import symlab.cli; "
+             "sys.exit(symlab.cli.main(['verify', '--coeffs', '0,0.25', '--suite', 'fast']))")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+
+
 # Reports OPENBLAS_NUM_THREADS at the moment numpy is first imported,
 # then runs {entry}.
 _RECORD_CAP_AT_NUMPY = """

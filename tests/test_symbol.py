@@ -11,7 +11,12 @@ from symlab import (
     eval_symbol,
     solve_grid,
 )
-from symlab.errors import DivisionAtZero, ZeroLeadingCoefficient
+from symlab.errors import (
+    ComplexCriticalPoints,
+    DivisionAtZero,
+    MultipleCriticalPoints,
+    ZeroLeadingCoefficient,
+)
 from symlab.symbol import _eval_a
 
 
@@ -125,6 +130,23 @@ def test_critical_structure_chebyshev(cheb_struct):
     g1 = cheb_struct.cut(1)
     assert (g1.lo, g1.hi) == pytest.approx((-1.0, 1.0))
     assert len(list(cheb_struct.cuts)) == 1
+
+
+@pytest.mark.parametrize("coeffs, shown", [((0.0, 3.0, 1.0), "-1, -1, 2"),
+                                           ((0.0, 3e-20, 1e-30), "-1e-10, -1e-10, 2e-10")])
+def test_double_critical_point_refused(coeffs, shown):
+    # r'(x) = 1 - 3/x^2 - 2/x^3 has the double root x = -1; the second
+    # symbol is the first under z -> 1e10 z, its double point at -1e-10
+    with pytest.raises(MultipleCriticalPoints) as err:
+        critical_structure(build_symbol(2, coeffs))
+    assert shown in str(err.value) and "-0." not in str(err.value)
+
+
+def test_complex_critical_points_refused():
+    # r'(x) = 1 + 1/x^2 - 1/x^3: x^3 + x - 1 has one real root and a pair
+    with pytest.raises(ComplexCriticalPoints) as err:
+        critical_structure(build_symbol(2, (0.0, -1.0, 0.5)))
+    assert "-0.341+1.16j" in str(err.value)
 
 
 def test_cut_scale(can_struct):
