@@ -46,7 +46,7 @@ def main():
     print(f"\n# CDF distance to s_2 on window [{window[0]:.2f}, {window[1]:.2f}]")
     for n in (20, 40, 60):
         rep = gen_spectrum(sym, n, 1, struct=struct, sys=sys_)
-        d = counting_compare(rep, sym, window=window, struct=struct)
+        d = counting_compare(sym, rep.roots, 1, window=window, struct=struct)
         print(f"{n:>4} {d:>10.4f}")
 
     print("\n# interlacing snapshot at n = 12")

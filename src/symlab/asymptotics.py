@@ -156,6 +156,8 @@ def hp_error_order(sym: SymbolCoeffs, n: int, j: int, lambda_grid) -> float:
     if not 1 <= j <= sym.p:
         raise ValueError("need 1 <= j <= p")
     grid = np.asarray(lambda_grid, dtype=float)
+    if not np.all(np.isfinite(grid) & (grid > 0)) or np.unique(grid).size < 2:
+        raise ValueError("need a grid of at least two distinct finite points > 0")
     _, log_diff = _fit_logs(sym, _fit_branches(sym, grid), n, j)
     return float(np.polyfit(np.log(grid), log_diff, 1)[0])
 
@@ -383,17 +385,17 @@ def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) ->
 
 # ---- counting-measure comparison ----
 
-def counting_compare(report: SpectrumReport, sym: SymbolCoeffs,
+def counting_compare(sym: SymbolCoeffs, roots, k: int,
                      window: tuple[float, float] | None = None,
                      struct: CriticalStructure | None = None) -> float:
-    """Sup distance between the root CDF and the s_{k+1} CDF on a window.
+    """Sup distance between the CDF of `roots` and the s_{k+1} CDF on a window.
 
     Both distributions are restricted to the window and renormalized.
     The limit CDF comes from the cumulative weights of a fine fixed rule
     for s_{k+1}, which resolves the endpoint singularities.
     """
     struct = struct or critical_structure(sym)
-    cut = struct.cut(report.k + 1)
+    cut = struct.cut(k + 1)
     if window is None:
         if cut.is_ray:
             e = cut.finite_end
@@ -402,10 +404,11 @@ def counting_compare(report: SpectrumReport, sym: SymbolCoeffs,
         else:
             window = (cut.lo, cut.hi)
     w0, w1 = window
-    roots = np.sort(report.roots[(report.roots >= w0) & (report.roots <= w1)])
+    roots = np.asarray(roots, dtype=float)
+    roots = np.sort(roots[(roots >= w0) & (roots <= w1)])
     if roots.size == 0:
         return 1.0
-    rule = build_fixed_rule(s_measure(sym, report.k + 1, struct), level=9)
+    rule = build_fixed_rule(s_measure(sym, k + 1, struct), level=9)
     order = np.argsort(rule.x)
     xs = rule.x[order]
     cdf = np.cumsum(rule.w[order].real)

@@ -240,7 +240,9 @@ def s_measure(sym: SymbolCoeffs, k: int, struct: CriticalStructure | None = None
 
 
 def rho_measure(sym: SymbolCoeffs, j: int, struct: CriticalStructure | None = None) -> MeasureHandle:
-    """MeasureHandle for rho_j; infinite mass with tail 1/p - 1 for j >= 2."""
+    """MeasureHandle for rho_j: endpoint exponents +1/2 for j = 1 (it is mu_1's
+    density), -1/2 for j >= 2, which also have infinite mass, tail 1/p - 1.
+    """
     struct = struct or critical_structure(sym)
     cut = struct.cut(j)
 
@@ -248,7 +250,7 @@ def rho_measure(sym: SymbolCoeffs, j: int, struct: CriticalStructure | None = No
         return rho_density(sym, j, np.asarray(xs, dtype=float), struct)
 
     return MeasureHandle(
-        cut=cut, density=dens, endpoint_exponents=(-0.5, -0.5),
+        cut=cut, density=dens, endpoint_exponents=(0.5, 0.5) if j == 1 else (-0.5, -0.5),
         tail_exponent=None if j == 1 else 1.0 / sym.p - 1.0, name=f"rho_{j}",
     )
 

@@ -17,8 +17,9 @@ polynomial sequence and the orthogonalities checked with them.
 
 This module alone turns the chain into frozen tanh-sinh rules, at one
 fixed level per kind.  `product_measure` freezes the next measure once
-per product; the rules, Psi stage values and far-field moments a system
-reuses are built once per system through `NikishinSystem._once`.
+per product.  A system keeps, through `NikishinSystem._once`, one rule
+per weight it integrates against and the far-field moments of Psi_{n,1};
+Psi stage values are rebuilt on each call.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ class NikishinSystem:
 
     rho[j-1] lives on Gamma_j; sigma[j-1] and mu[j-1] live on Gamma_1.
     c is lower triangular with unit diagonal and mu_j = sum_k c[j,k] sigma_k
-    (1-based in the math, 0-based in the array).  Frozen rules and Psi
-    arrays are built on first use and kept with the system.
+    (1-based in the math, 0-based in the array).  The memo holds one
+    frozen rule per weight (p sigma_j and p(p-1)/2 flat rules at most) and
+    40 far-field moments of Psi_{n,1} per n, each built on first use.
     """
 
     sym: SymbolCoeffs
@@ -204,54 +206,30 @@ def build_system(sym: SymbolCoeffs,
 
 # ---- frozen rules of the chain ----
 
-def _rho1_rule(sys: NikishinSystem) -> FixedRule:
-    return sys._once(("rho1",), lambda: build_fixed_rule(sys.rho[0], level=8))
+def _flat_rule(sys: NikishinSystem, j: int, k: int) -> tuple[FixedRule, float]:
+    """Frozen rule for (x - lam_{j+1}) drho_{j+1,k}(x), plus its tail degree.
 
-
-def _flat_rho_rule(sys: NikishinSystem, i: int) -> FixedRule:
-    """Rule for the combined weight (x - lam_i) rho_i'(x) = Im z_{i-1,-}(x)/pi.
-
-    Folding the linear factor into the density keeps the weight bounded
-    at the branch point and makes the tail degree +1/p instead of the
-    non-integrable 1/p - 1 of rho_i alone.
+    The base weight (x - lam_{j+1}) rho_{j+1}'(x) = Im z_{j,-}(x)/pi folds
+    the linear factor into the density: it stays bounded at the branch
+    point and has tail degree +1/p instead of the non-integrable 1/p - 1
+    of rho_{j+1} alone.  For k > j+1 the rest of the chain multiplies it
+    as one more product measure.
     """
 
     def make():
         def dens(xs):
-            zm = pair_minus(sys.sym, i, np.atleast_1d(np.asarray(xs, dtype=float)),
-                            sys.struct)
-            return np.imag(zm) / np.pi
+            xa = np.atleast_1d(np.asarray(xs, dtype=float))
+            return np.imag(pair_minus(sys.sym, j + 1, xa, sys.struct)) / np.pi
 
-        handle = MeasureHandle(
-            cut=sys.struct.cut(i), density=dens, endpoint_exponents=(0.5, 0.5),
-            tail_exponent=1.0 / sys.sym.p, name=f"flat_rho_{i}",
+        flat = MeasureHandle(
+            cut=sys.struct.cut(j + 1), density=dens, endpoint_exponents=(0.5, 0.5),
+            tail_exponent=1.0 / sys.sym.p, name=f"flat_rho_{j + 1}",
         )
-        return build_fixed_rule(handle, level=7)
+        if k > j + 1:
+            flat = product_measure(flat, _chain(sys.rho, j + 2, k))
+        return build_fixed_rule(flat, level=7), flat.tail_exponent
 
-    return sys._once(("flat", i), make)
-
-
-def _flat_chain_rule(sys: NikishinSystem, j: int, k: int) -> tuple[FixedRule, float]:
-    """Frozen rule for (x - lam_{j+1}) drho_{j+1,k}(x), plus its tail degree."""
-
-    def make():
-        chain = _chain(sys.rho, j + 1, k)
-        lam_next = sys.struct.lam[j]
-
-        def dens(xs):
-            xa = np.asarray(xs, dtype=float)
-            return (xa - lam_next) * chain.density(xa)
-
-        tail = chain.tail_exponent + 1.0
-        handle = MeasureHandle(
-            cut=chain.cut, density=dens,
-            endpoint_exponents=(chain.endpoint_exponents[0] + 1.0,
-                                chain.endpoint_exponents[1] + 1.0),
-            tail_exponent=tail, name=f"flat_rho_{j + 1},{k}",
-        )
-        return build_fixed_rule(handle, level=7), tail
-
-    return sys._once(("flatchain", j, k), make)
+    return sys._once(("flat", j, k), make)
 
 
 # ---- second-type functions ----
@@ -260,20 +238,16 @@ def _psi_stage_values(sys: NikishinSystem, n: int, j: int) -> tuple[np.ndarray, 
     """Values of Psi_{n,j} at the nodes of the stage-(j+1) flat rule.
 
     Returns (nodes, weights, psi values) ready for one more transform.
-    Kept on the system because the arrays do not depend on the final
-    evaluation point.
+    Built afresh on each call and not kept: callers ask for a different n
+    each time, so only the flat rule under the arrays is worth keeping.
     """
-
-    def make():
-        decay = multi_index(n, sys.sym.p).components[j - 1] + 2 - j
-        rule_next = _flat_rho_rule(sys, j + 1)
-        # tail mask: Psi_{n,j}(t)/(lam-t) falls like t^{-decay-1} against the
-        # stage weight, which itself grows like t^{1/p}
-        keep = rule_next.logw - (decay + 1) * rule_next.logx > _LOG_FLOOR
-        t = rule_next.x[keep]
-        return t, rule_next.w[keep], _psi_at(sys, n, j, t)
-
-    return sys._once(("stage", n, j), make)
+    decay = multi_index(n, sys.sym.p).components[j - 1] + 2 - j
+    rule_next, _ = _flat_rule(sys, j, j + 1)
+    # tail mask: Psi_{n,j}(t)/(lam-t) falls like t^{-decay-1} against the
+    # stage weight, which itself grows like t^{1/p}
+    keep = rule_next.logw - (decay + 1) * rule_next.logx > _LOG_FLOOR
+    t = rule_next.x[keep]
+    return t, rule_next.w[keep], _psi_at(sys, n, j, t)
 
 
 def _psi_far_coeffs(sys: NikishinSystem, n: int) -> tuple[int, np.ndarray]:
@@ -286,7 +260,7 @@ def _psi_far_coeffs(sys: NikishinSystem, n: int) -> tuple[int, np.ndarray]:
     """
 
     def make():
-        rule = _rho1_rule(sys)
+        rule = sys.sigma_rule(1)
         m0 = int(multi_index(n, sys.sym.p).components[0])
         q = eval_Q(sys.sym, n, rule.x)
         return m0, np.array(
@@ -302,7 +276,7 @@ def _psi_at(sys: NikishinSystem, n: int, j: int, lam: np.ndarray) -> np.ndarray:
     if j > 1:
         t, w, psi = _psi_stage_values(sys, n, j - 1)
         return _cauchy_sum(flat, t, w * psi, _PSI_ROWS).reshape(lam.shape)
-    rule = _rho1_rule(sys)
+    rule = sys.sigma_rule(1)
     lo, hi = sys.struct.cut(1).endpoints()
     far = np.abs(flat) > 3.0 * max(abs(lo), abs(hi))
     out = np.empty(flat.shape, dtype=complex)
@@ -372,7 +346,7 @@ def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
     """
     if not (1 <= j <= sym.p - 1 and j + 1 <= k <= sym.p):
         raise ValueError("need 1 <= j <= p-1 and j+1 <= k <= p")
-    rule, tail = _flat_chain_rule(sys, j, k)
+    rule, tail = _flat_rule(sys, j, k)
     decay = multi_index(n, sym.p).components[j - 1] + 2 - j
     if nu_max - decay + tail >= -1.0:
         raise TailDivergence(
@@ -399,7 +373,7 @@ def orthogonality_with_psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem,
     zeros from `asymptotics.psi_zeros`; the integral vanishes for
     nu < N_{n,1}.
     """
-    rule = _rho1_rule(sys)
+    rule = sys.sigma_rule(1)
     q = eval_Q(sym, n, rule.x)
     den = np.prod(rule.x[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
     fv = rule.x**nu * q / den

@@ -263,7 +263,7 @@ def check_spectrum(sym: SymbolCoeffs, sys: NikishinSystem,
     for n in (20, 40, 60):
         if n not in reports:
             reports[n] = gen_spectrum(sym, n, 1, struct=struct, sys=sys)
-        dists[n] = counting_compare(reports[n], sym, window=win, struct=struct)
+        dists[n] = counting_compare(sym, reports[n].roots, 1, window=win, struct=struct)
     passed = dists[60] < dists[20]
     return CheckResult("gen_spectrum_ray", passed, dists[60], dists[20],
                        f"CDF distance {dists[20]:.4f} -> {dists[40]:.4f} -> {dists[60]:.4f}")

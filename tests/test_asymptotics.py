@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -109,6 +111,16 @@ def test_hp_error_order_refuses_undefined_z0(cheb):
     # lambda = 1 is the branch point of (0, 1/4): z0 = z1 = 2
     with pytest.raises(NearBranchPoint):
         hp_error_order(cheb, 2, 1, [1.0, 10.0, 100.0])
+
+
+@pytest.mark.parametrize("grid", [[-5.0, -6.0, -7.0], [1e3], [1e3, 1e3],
+                                  [1e3, math.inf], [1e3, math.nan], [0.0, 1e3]])
+def test_hp_error_order_refuses_bad_grid(can, grid, capfd):
+    # refused before any solve: a log fit over these would read nan logs
+    # and end in LAPACK's own complaint on stderr
+    with pytest.raises(ValueError, match="grid"):
+        hp_error_order(can, 5, 1, grid)
+    assert capfd.readouterr().err == ""
 
 
 def test_ratio_rate_resolves_every_probe(can, can_struct):
@@ -310,13 +322,13 @@ def test_orthogonality_with_psi_zeros(can, can_sys):
 
 
 def test_counting_compare_frozen(cheb):
-    rep = gen_spectrum(cheb, 60, 0)
-    assert counting_compare(rep, cheb) == pytest.approx(0.01642531, abs=1e-6)
+    roots = gen_spectrum(cheb, 60, 0).roots
+    assert counting_compare(cheb, roots, 0) == pytest.approx(0.01642531, abs=1e-6)
 
 
 def test_counting_compare_decreases(cheb):
-    d20 = counting_compare(gen_spectrum(cheb, 20, 0), cheb)
-    d60 = counting_compare(gen_spectrum(cheb, 60, 0), cheb)
+    d20 = counting_compare(cheb, gen_spectrum(cheb, 20, 0).roots, 0)
+    d60 = counting_compare(cheb, gen_spectrum(cheb, 60, 0).roots, 0)
     assert d60 < d20
 
 

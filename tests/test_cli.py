@@ -153,6 +153,17 @@ def test_exit_codes(capsys):
     assert json.loads(err)["error"]["type"] == "ZeroLeadingCoefficient"
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["analyze", "--cubic", "-1,-2"], "BadOrdering"),
+    # p = 3 with critical points -2, -1, 1, 2: split 2 negative / 2 positive
+    (["analyze", "--coeffs", "0,5,0,-1.3333333333333333"], "HypothesisViolated"),
+], ids=["bad_ordering", "hypothesis_violated"])
+def test_named_refusal_exits_1(argv, kind, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == kind
+
+
 def test_zeros_past_float_range(capsys):
     # Q_200 of (0, 1e4) is about 1e400 at the cut ends, past the float
     # range; the zeros still come out, 200 cos(k pi/201) on [-200, 200]

@@ -12,6 +12,7 @@ from symlab import (
     rho_density,
     solve_grid,
 )
+from symlab.errors import BranchPointHit
 
 PARAMS = CubicParams(-2.0, -1.0)
 
@@ -35,6 +36,12 @@ def test_cubic_z0_real_outside_hull(can):
     for lam in (8.0, 40.0, -60.0):
         want = solve_grid(can, [lam])[0, 0]
         assert cubic_z0(PARAMS, lam) == pytest.approx(want, rel=1e-11)
+
+
+def test_cubic_z0_refuses_branch_point():
+    # lambda_1 = -4.75 is where z0 meets z1
+    with pytest.raises(BranchPointHit):
+        cubic_z0(PARAMS, -4.75)
 
 
 def test_cubic_densities_match_generic(can, can_struct):

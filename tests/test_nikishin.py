@@ -19,6 +19,9 @@ from symlab import (
     solve_grid,
     widom_psi,
 )
+from symlab.branches import rho_density, rho_measure
+from symlab.nikishin import _flat_rule
+from symlab.quadrature import FixedRule, MeasureHandle, build_fixed_rule
 
 CAN_L1_MOMENTS = [1, 0, 7, 3, 98, 105, 1742, 3087]
 
@@ -158,7 +161,7 @@ def test_psi_values_level_range(can_sys):
 
 def test_chain_pinned_bits(can, can_sys):
     # sha256 of values read off the frozen chain rules; a last-bit drift in
-    # the rho_1, flat rho_2, flat chain or product-measure rules changes them.
+    # the sigma_1 (= rho_1), flat rho_2 or product-measure rules changes them.
     # The probes sit near and far from both cuts, so Psi_{n,1} takes both its
     # direct sum and its far-field moment expansion
     probes = np.array([0.5 + 1e-3j, -4.7 + 1e-2j, 3.0 - 2.0j, -8.0 + 1e-3j,
@@ -167,11 +170,58 @@ def test_chain_pinned_bits(can, can_sys):
     for n in range(9):
         for j in (1, 2):
             h.update(psi_values(can_sys, n, j, probes).tobytes())
-    assert h.hexdigest() == "0fc42918e5ea006266b8abc54bd2a9fd052d5cf37d073bd1b0ac484bf7545491"
+    assert h.hexdigest() == "223e299697a1a0b405bb4f9e6243fee3e01ded3cc6a6053d73f5df91e7db144d"
     resid, scale = orthogonality_second_kind(can, can_sys, 7, 1, 2, 1)
     assert hashlib.sha256(resid.tobytes() + scale.tobytes()).hexdigest() == (
-        "ba5a9b936cbcb1801865e7b2d843beb0bbf6a510c76fd01bb824f8c26d25637d")
+        "ac03b9f6c2823d6decbbd90198dec431f4b1b24c7c57f200bf0e8539bf55bd9d")
     g1 = can_sys.struct.cut(1)
     xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
     assert hashlib.sha256(can_sys.sigma[1].density(xs).tobytes()).hexdigest() == (
         "4b59354da303cdf221e5062204ee4d3fac73f2a1becec5646d24a8ea48ab6405")
+
+
+def test_flat_rule_matches_rho2_times_linear_factor(can, can_sys):
+    # oracle: the flat weight (x - lam_2) rho_2'(x) frozen straight from
+    # rho_2's density, against the rule built from Im z_{1,-}/pi
+    lam2 = can_sys.struct.lam[1]
+
+    def dens(x):
+        return (x - lam2) * rho_density(can, 2, x, can_sys.struct)
+
+    oracle = build_fixed_rule(MeasureHandle(
+        cut=can_sys.struct.cut(2), density=dens, endpoint_exponents=(0.5, 0.5),
+        tail_exponent=0.5), level=7)
+    rule, tail = _flat_rule(can_sys, 1, 2)
+    assert tail == 0.5
+    assert rule.x.tobytes() == oracle.x.tobytes()
+    np.testing.assert_allclose(rule.w, oracle.w, rtol=1e-15, atol=0)
+
+
+def test_rho1_vanishes_like_a_square_root(can, can_struct):
+    assert rho_measure(can, 1, can_struct).endpoint_exponents == (0.5, 0.5)
+    assert rho_measure(can, 2, can_struct).endpoint_exponents == (-0.5, -0.5)
+    lam1 = can_struct.cut(1).lo
+    es = np.array([1e-6, 1e-8, 1e-10])
+    ratio = rho_density(can, 1, lam1 + es, can_struct) / np.sqrt(es)
+    # 0.142352 to six decimals at every offset: the density is sqrt-like
+    np.testing.assert_allclose(ratio, 0.142352, rtol=0, atol=1e-6)
+
+
+def test_memo_keeps_rules_and_far_moments_only(can):
+    # Psi stage arrays are not kept: asking for 21 degrees leaves one rule
+    # per weight and 40 far-field moments per degree
+    sys_ = build_system(can)
+    probes = np.array([10.0 + 5.0j, -60.0 + 10.0j, 200.0j])
+    for n in range(21):
+        psi_values(sys_, n, 2, probes)
+    p = can.p
+    rules = [k for k in sys_._memo if k[0] != "far"]
+    assert len(rules) <= p + p * (p - 1) // 2
+    for key, val in sys_._memo.items():
+        if key[0] == "far":
+            m0, moms = val
+            assert isinstance(m0, int) and moms.shape == (40,)
+        else:  # flat rules carry their tail degree alongside
+            rule = val[0] if key[0] == "flat" else val
+            assert isinstance(rule, FixedRule)
+    assert sorted(k for k in sys_._memo if k[0] == "far") == [("far", n) for n in range(21)]
