@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to catch has a named class;
+Every failure mode that callers are expected to catch has a named class,
+raised somewhere in the package (tests/test_errors.py checks each one);
 anything else is a plain bug and surfaces as a standard exception.
 """
 
@@ -16,7 +17,7 @@ class ZeroLeadingCoefficient(SymlabError):
 
 
 class NonFinite(SymlabError):
-    """A coefficient or argument is NaN or infinite."""
+    """A coefficient, argument or computed value is NaN or infinite."""
 
 
 class DivisionAtZero(SymlabError):
@@ -97,11 +98,6 @@ class RootCountMismatch(SymlabError):
 
 class CountMismatch(SymlabError):
     """A second-type function zero scan found the wrong number of zeros."""
-
-
-class Underflow(SymlabError):
-    """A magnitude fell out of range below: an error under 1e-300 (raise
-    precision or lower n), or a subnormal Q_m value in the zero walk."""
 
 
 # ---- cubic oracle ----

@@ -5,28 +5,21 @@ dyadics, so Fraction arithmetic is lossless).  Numeric evaluation runs
 the recurrence in the value domain instead, which stays stable for
 degrees far beyond what the coefficient form tolerates.
 
-Zeros come two ways, both on the shared sign-only `rootfind.bisect`,
-four steps per recurrence pass, and one guarded Newton step.  Interlacing
-of consecutive Q_k makes the sign changes along Q_0(x), ..., Q_n(x) count
-the zeros of Q_n above x (Sturm-sequence bisection), so `zeros_Q` finds
-one degree directly in O(n^2) work, in a count mode of the recurrence
-that stays in range at any scale.  `zeros_Q_levels` walks the induction
-instead: interlacing puts exactly one zero of Q_{m+1} strictly between
-consecutive points of {alpha, zeros(Q_m), beta}, so it yields every level
-Q_1, ..., Q_n, O(n^3) in plain floats.  Use the walk when every level is
-wanted, as verify's zero ladder does (its acceptance numbers stay byte
-for byte), and `zeros_Q` for one degree.
+Zeros come from one routine, Sturm-sequence bisection: interlacing of
+consecutive Q_k makes the sign changes along Q_0(x), ..., Q_n(x) count
+the zeros of Q_n above x.  `zeros_Q` asks it for one degree and
+`zeros_Q_levels` for every degree 1..n in the same passes; each level
+comes out bit for bit as `zeros_Q` gives it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InterlacingViolation, NonFinite, Underflow
+from .errors import InterlacingViolation, NonFinite
 from .rootfind import bisect
 from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
 
@@ -124,10 +117,14 @@ def _rescaled(terms: list[np.ndarray]) -> list[np.ndarray]:
     return [np.ldexp(t, shift) for t in terms]
 
 
-def _recurrence(sym: SymbolCoeffs, n: int, lam, derivative: bool, count: bool = False):
+def _recurrence(sym: SymbolCoeffs, n, lam, derivative: bool, count: bool = False):
     """(Q_n, Q_n' or None, sign changes or None) in np.result_type(lam, float):
     real input stays real (the cheap path zero finding lives on), complex
     stays complex.
+
+    `n` is one degree, or an integer array of degrees broadcast against
+    `lam`: each point then returns its own degree's outputs, copied out at
+    the steps where some degree ends.  One degree copies nothing.
 
     Count mode (real lam) also counts, per point, the sign changes along
     Q_0(lam), ..., Q_n(lam), an exact zero carrying the last nonzero sign.
@@ -138,6 +135,11 @@ def _recurrence(sym: SymbolCoeffs, n: int, lam, derivative: bool, count: bool = 
     """
     lam = np.asarray(lam)
     lam = lam.astype(np.result_type(lam, float), copy=False)
+    ends = None
+    if np.ndim(n):
+        lam, deg = np.broadcast_arrays(lam, n)
+        ends = np.bincount(deg.ravel())  # how many points end at each step
+        n = ends.size - 1
     shift = lam - sym.a[0]
     hist = [np.zeros_like(lam) for _ in range(sym.p)]
     dhist = list(hist)
@@ -154,6 +156,8 @@ def _recurrence(sym: SymbolCoeffs, n: int, lam, derivative: bool, count: bool = 
         # leaves 2^-1000 .. 2^1000 in between.
         grow = 1.0 + np.max(np.abs(shift), initial=0.0) + sum(map(abs, sym.a[1:]))
         every = max(1, int(_SCALE_EXP // np.log2(grow / min(1.0, abs(sym.a[-1])))))
+    if ends is not None:  # degree-0 points already hold their outputs
+        out = [v if v is None else v.copy() for v in (cur, dcur, changes)]
     for i in range(n):
         nxt = shift * cur
         dnxt = cur + shift * dcur if derivative else None
@@ -175,7 +179,12 @@ def _recurrence(sym: SymbolCoeffs, n: int, lam, derivative: bool, count: bool = 
                 cur, hist = terms[0], terms[1:sym.p + 1]
                 if derivative:
                     dcur, dhist = terms[sym.p + 1], terms[sym.p + 2:]
-    return cur, dcur, changes
+        if ends is not None and ends[i + 1]:
+            at = deg == i + 1
+            for o, v in zip(out, (cur, dcur, changes)):
+                if o is not None:
+                    np.copyto(o, v, where=at)
+    return tuple(out) if ends is not None else (cur, dcur, changes)
 
 
 def eval_Q(sym: SymbolCoeffs, n: int, lam):
@@ -186,15 +195,6 @@ def eval_Q(sym: SymbolCoeffs, n: int, lam):
 def eval_Q_with_derivative(sym: SymbolCoeffs, n: int, lam):
     """(Q_n, Q_n') jointly; Q_n is bit for bit `eval_Q`'s."""
     return _recurrence(sym, n, lam, derivative=True)[:2]
-
-
-def _finite_Q(m: int, vals: np.ndarray, *more: np.ndarray) -> np.ndarray:
-    """`vals`, once it and `more` are finite: past the float range the
-    signs of Q_m read inf or nan, and a zero bisected on them lands
-    anywhere in its bracket."""
-    if not all(np.isfinite(v).all() for v in (vals, *more)):
-        raise NonFinite(f"Q_{m} left the float range on Gamma_1")
-    return vals
 
 
 def _check_alternates(m: int, nodes: np.ndarray, signs: np.ndarray) -> None:
@@ -210,57 +210,79 @@ def _check_alternates(m: int, nodes: np.ndarray, signs: np.ndarray) -> None:
         )
 
 
-def _newton(m: int, lo: np.ndarray, hi: np.ndarray, value_and_slope) -> np.ndarray:
-    """Sorted zeros of Q_m from its bisected brackets: one Newton step from
-    each midpoint, `value_and_slope(x)` giving (Q_m, Q_m') up to a common
-    factor per point, dropped where it would leave 8 bracket widths."""
-    mid = 0.5 * (lo + hi)
-    f, df = value_and_slope(mid)
-    _finite_Q(m, f, df)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(df != 0.0, f / df, 0.0)
-    step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
-    return np.sort(mid - step)
+def _zeros(sym: SymbolCoeffs, degrees: range,
+           struct: CriticalStructure | None) -> list[np.ndarray]:
+    """Sorted zeros of Q_m inside Gamma_1 for each m in `degrees`.
 
-
-def zeros_Q_levels(
-    sym: SymbolCoeffs,
-    n: int,
-    struct: CriticalStructure | None = None,
-) -> Iterator[np.ndarray]:
-    """Sorted zeros of Q_1, ..., Q_n inside Gamma_1, one level per step.
-
-    Use it when every degree up to n is wanted (verify's zero ladder):
-    each level's zeros bracket the next level's, so one pass yields every
-    degree at the cost of a level-by-level walk, O(n^3) in all.  A level
-    is 14 passes: sign check, 48 bisection steps four to a pass, one
-    Newton step.  It runs plain floats, and Q_m grows or shrinks like
-    (cut width / 4)^m: a level whose bracket values leave the float range
-    raises `NonFinite`, or `Underflow` when one is 0 or subnormal, instead
-    of trusting its signs.  For one degree use `zeros_Q`.
+    The sign changes along Q_0(x), ..., Q_m(x) count the zeros of Q_m
+    above x (interlacing makes each step add 0 or 1).  One count on a
+    4m+1-point grid over Gamma_1 puts every zero in a cell; 48 steps of
+    the shared sign-only `rootfind.bisect` on the count, four to a pass,
+    narrow all cells at once, and one Newton step finishes them: O(m^2)
+    work per degree.  Every degree runs in the same passes, each point of
+    the recurrence at its own degree; the count mode's rescales are powers
+    of two, so a level's bits do not depend on the degrees beside it.
+    Count mode keeps the recurrence in range, so any scale works.  Q_m
+    must then alternate strictly in sign at alpha, between consecutive
+    zeros and at beta.
     """
     struct = struct or critical_structure(sym)
     g1 = struct.cut(1)
-    alpha, beta = g1.lo, g1.hi
-    zeros = np.empty(0)
-    for m in range(1, n + 1):
-        # overflow is reported by _finite_Q as NonFinite, not by numpy;
-        # the state is set per level, never held across a yield
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes = np.concatenate(([alpha], zeros, [beta]))
-            vals = _finite_Q(m, eval_Q(sym, m, nodes))
-            if np.any(np.abs(vals) < np.finfo(float).tiny):
-                i = int(np.argmin(np.abs(vals)))
-                raise Underflow(f"Q_{m} is {vals[i]:.3g} at {nodes[i]:.8g}, "
-                                "below the normal float range")
-            signs = np.sign(vals)
-            _check_alternates(m, nodes, signs)
-            lo, hi = bisect(lambda x: _finite_Q(m, eval_Q(sym, m, x)),
-                            nodes[:-1], nodes[1:], signs[:-1], 48,
-                            per_call=_BISECT_PER_CALL)
-            zeros = _newton(m, lo, hi,
-                            lambda x: eval_Q_with_derivative(sym, m, x))
-        yield zeros
+    ms = list(degrees)
+    if not any(ms):
+        return [np.empty(0) for _ in ms]
+
+    def per_point(sizes):
+        """Each degree repeated over its `sizes` points: one int for one degree."""
+        return ms[0] if len(ms) == 1 else np.repeat(ms, sizes)
+
+    def split(values, sizes):
+        return np.split(values, np.cumsum(sizes)[:-1])
+
+    def count(deg, x):
+        return _recurrence(sym, deg, x, derivative=False, count=True)
+
+    grids = [np.linspace(g1.lo, g1.hi, 4 * m + 1) for m in ms]
+    sizes = [g.size for g in grids]
+    counts = count(per_point(sizes), np.concatenate(grids))[2]
+    lo, hi, target = [], [], []
+    for m, grid, above in zip(ms, grids, split(counts, sizes)):
+        for i, want in ((0, m), (-1, 0)):
+            if above[i] != want:
+                raise InterlacingViolation(
+                    f"Q_0..Q_{m} change sign {above[i]:.0f} times at cut end "
+                    f"{grid[i]:.8g}, not {want}"
+                )
+        # the zero with m - i zeros at or above it lies in the last cell
+        # whose left end still counts m - i
+        t = m - np.arange(m)
+        cell = np.sum(above[:, None] >= t, axis=0) - 1
+        lo.append(grid[cell])
+        hi.append(grid[cell + 1])
+        target.append(t)
+    deg = per_point(ms)
+    target = np.concatenate(target)
+    lo, hi = bisect(lambda x: np.where(count(deg, x)[2] >= target, 1.0, -1.0),
+                    np.concatenate(lo), np.concatenate(hi), np.ones(target.size),
+                    48, per_call=_BISECT_PER_CALL)
+    # one Newton step from each midpoint, dropped where it would leave 8
+    # bracket widths; Q_m and Q_m' share a power of two per point
+    mid = 0.5 * (lo + hi)
+    f, df, _ = _recurrence(sym, deg, mid, derivative=True, count=True)
+    finite = np.isfinite(f) & np.isfinite(df)
+    if not finite.all():
+        bad = np.broadcast_to(deg, mid.shape)[np.argmin(finite)]
+        raise NonFinite(f"Q_{bad} left the float range on Gamma_1")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(df != 0.0, f / df, 0.0)
+    step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
+    levels = [np.sort(z) for z in split(mid - step, ms)]
+    checks = [np.concatenate(([g1.lo], 0.5 * (z[:-1] + z[1:]), [g1.hi])) for z in levels]
+    sizes = [m + 1 for m in ms]
+    signs = np.sign(count(per_point(sizes), np.concatenate(checks))[0])
+    for m, nodes, s in zip(ms, checks, split(signs, sizes)):
+        _check_alternates(m, nodes, s)
+    return levels
 
 
 def zeros_Q(
@@ -268,43 +290,25 @@ def zeros_Q(
     n: int,
     struct: CriticalStructure | None = None,
 ) -> np.ndarray:
-    """Sorted zeros of Q_n inside Gamma_1, found without the lower levels.
+    """Sorted zeros of Q_n inside Gamma_1, found without the lower levels:
+    O(n^2) work by Sturm sign counts, at any scale.  `InterlacingViolation`
+    when the counts at the cut ends or the closing sign check disagree."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return _zeros(sym, range(n, n + 1), struct)[0]
 
-    The sign changes along Q_0(x), ..., Q_n(x) count the zeros of Q_n
-    above x (interlacing makes each step add 0 or 1).  One count on a
-    4n+1-point grid over Gamma_1 puts every zero in a cell; 48 bisection
-    steps on the count, four to a pass, narrow all n cells at once, and
-    one Newton step finishes them: O(n^2) work.  Count mode keeps the
-    recurrence in range, so any scale works.  Q_n must then alternate
-    strictly in sign at alpha, between consecutive zeros and at beta.
+
+def zeros_Q_levels(
+    sym: SymbolCoeffs,
+    n: int,
+    struct: CriticalStructure | None = None,
+) -> list[np.ndarray]:
+    """Sorted zeros of Q_1, ..., Q_n inside Gamma_1, index m - 1 for Q_m.
+
+    Each level is bit for bit `zeros_Q(sym, m)`, found independently of
+    the others, but every level shares the same recurrence passes: O(n^3)
+    work in 15 passes instead of 15n.
     """
-    struct = struct or critical_structure(sym)
-    g1 = struct.cut(1)
-    if n == 0:
-        return np.empty(0)
-
-    def above(x):
-        """How many zeros of Q_n lie above each x."""
-        return _recurrence(sym, n, x, derivative=False, count=True)[2]
-
-    grid = np.linspace(g1.lo, g1.hi, 4 * n + 1)
-    counts = above(grid)
-    for i, want in ((0, n), (-1, 0)):
-        if counts[i] != want:
-            raise InterlacingViolation(
-                f"Q_0..Q_{n} change sign {counts[i]:.0f} times at cut end "
-                f"{grid[i]:.8g}, not {want}"
-            )
-    # the zero with n - i zeros at or above it lies in the last cell whose
-    # left end still counts n - i
-    target = n - np.arange(n)
-    cell = np.sum(counts[:, None] >= target, axis=0) - 1
-    lo, hi = bisect(lambda x: np.where(above(x) >= target, 1.0, -1.0),
-                    grid[cell], grid[cell + 1], np.ones(n), 48,
-                    per_call=_BISECT_PER_CALL)
-    zeros = _newton(n, lo, hi,
-                    lambda x: _recurrence(sym, n, x, derivative=True, count=True)[:2])
-    checks = np.concatenate(([g1.lo], 0.5 * (zeros[:-1] + zeros[1:]), [g1.hi]))
-    signs = np.sign(_recurrence(sym, n, checks, derivative=False, count=True)[0])
-    _check_alternates(n, checks, signs)
-    return zeros
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return _zeros(sym, range(1, n + 1), struct)

@@ -187,10 +187,9 @@ def check_zeros(sym: SymbolCoeffs, struct: CriticalStructure) -> CheckResult:
     """Zeros strictly interior, exact interlacing; closed form for (0,1/4)."""
     g1 = struct.cut(1)
     levels = zeros_Q_levels(sym, 41, struct)
-    nxt = next(levels)
     formula_err = 0.0
     for n in range(1, 41):
-        zs, nxt = nxt, next(levels)
+        zs, nxt = levels[n - 1], levels[n]
         if not (g1.lo < zs.min() and zs.max() < g1.hi):
             return CheckResult("qn_zeros", False, float(zs.max()), g1.hi,
                                f"zero escapes Gamma_1 at n={n}")

@@ -1,5 +1,4 @@
 import hashlib
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,8 +16,9 @@ from symlab import (
     zeros_Q_levels,
 )
 from symlab.cubic import CubicParams, cubic_build
-from symlab.errors import InterlacingViolation, NonFinite, Underflow
+from symlab.errors import InterlacingViolation
 from symlab.symbol import Cut, critical_structure
+from symlab.verify import check_zeros
 
 # Exact coefficient rows for (0,7,3) from the three-term-plus band recurrence
 # lam Q_n = Q_{n+1} + 7 Q_{n-1} + 3 Q_{n-2}, seeded Q_0 = 1, Q_1 = lam.
@@ -122,99 +122,66 @@ def small():
     return build_symbol(1, (0.0, 1e-4))
 
 
-@pytest.fixture(scope="module")
-def small_walk(small):
-    # zeros of Q_1..Q_153, index m-1 for degree m, from one induction pass,
-    # and the error that ends it: Q_154 at the cut end is 1e-308, subnormal
-    levels = []
-    with pytest.raises(Underflow) as info:
-        for zeros in zeros_Q_levels(small, 300):
-            levels.append(zeros)
-    return levels, info.value
-
-
-@pytest.fixture(scope="module")
-def small_levels(small_walk):
-    return small_walk[0]
-
-
-def _ulps(got, want, cut):
-    """Largest |got - want| in units of the spacing at max(|alpha|, |beta|)."""
-    return np.max(np.abs(got - want), initial=0.0) / np.spacing(max(abs(cut.lo), abs(cut.hi)))
-
-
 def _chebyshev_zeros(a0, a1, n):
     return a0 + 2.0 * np.sqrt(a1) * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
 
 
-def test_zeros_levels_underflow_is_named(small_walk):
-    # the walk must stop at the first subnormal bracket value: past it the
-    # zeros of Q_158..Q_161 come out wrong by 1e-10..1e-4 of the cut width
-    levels, err = small_walk
-    assert len(levels) == 153
-    assert str(err).startswith("Q_154 is -1e-308 at -0.019962557")
-
-
-def test_zeros_chebyshev_closed_form(cheb, small_levels):
+def test_zeros_chebyshev_closed_form(cheb):
     for n in (4, 9, 17):
         zs = zeros_Q(cheb, n)
         want = np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
         np.testing.assert_allclose(zs, want, atol=1e-13)
-    for n in (80, 90, 150):
-        want = 0.02 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
-        np.testing.assert_allclose(small_levels[n - 1], want, rtol=0, atol=1e-12 * 0.04)
+    # zeros 2 sqrt(a1) cos(k pi/(n+1)), to 1e-12 of the cut width: on
+    # (0, 1e-4) Q_150 at the cut ends is about 1e-300, on (0, 1e4) 1e+300
+    for a1, ns in ((1e-4, (80, 90, 150)), (1e4, (150,))):
+        for n in ns:
+            zs = zeros_Q(build_symbol(1, (0.0, a1)), n)
+            np.testing.assert_allclose(zs, _chebyshev_zeros(0.0, a1, n),
+                                       rtol=0, atol=1e-12 * 4.0 * np.sqrt(a1))
 
 
-def test_zeros_large_scale_until_overflow():
-    # (0, 1e4): zeros 200 cos(k pi/(n+1)) on [-200, 200], and Q_m at the cut
-    # ends grows like 100^m, past the float range at m = 153
-    big = build_symbol(1, (0.0, 1e4))
-    levels = []
-    # NonFinite is the only report: numpy's overflow warning stays silent,
-    # and its error state is restored between levels
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFinite, match="Q_153"):
-            for zeros in zeros_Q_levels(big, 200):
-                assert np.geterr()["over"] == "warn"
-                levels.append(zeros)
-    assert len(levels) == 152
-    n = 150
-    want = 200.0 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
-    np.testing.assert_allclose(levels[n - 1], want, rtol=0, atol=1e-12 * 400.0)
+def test_zeros_levels_match_zeros_Q(can, cheb, small):
+    # every level of the ladder is bit for bit the single-degree finder's
+    for sym in (cheb, can, small, build_symbol(3, (0.0, 9.99, 6.545, 0.74))):
+        struct = critical_structure(sym)
+        levels = zeros_Q_levels(sym, 41, struct)
+        assert len(levels) == 41
+        for m, zs in enumerate(levels, start=1):
+            assert zs.tobytes() == zeros_Q(sym, m, struct).tobytes()
 
 
-def test_zeros_levels_match_zeros_Q(can, can_struct, small, small_levels):
-    # the walk and the sign count agree to 2 ulps of the cut's magnitude
-    levels = list(zeros_Q_levels(can, 25))
-    assert len(levels) == 25
-    for m in (1, 2, 13, 25):
-        assert _ulps(zeros_Q(can, m), levels[m - 1], can_struct.cut(1)) <= 2.0
-    g1 = critical_structure(small).cut(1)
-    for m in (80, 150):
-        assert _ulps(zeros_Q(small, m), small_levels[m - 1], g1) <= 2.0
+def test_zeros_levels_scale_covariant(can):
+    # (0, 7, 3) with lambda scaled by c: coefficients (0, 7 c^2, 3 c^3).
+    # Scaling by a power of two is exact, so every level scales exactly,
+    # though Q_35 (c = 2^28) and Q_40 (c = 2^24) at the cut ends lie past
+    # the float range
+    base = zeros_Q_levels(can, 41)
+    for k in (24, 28):
+        c = 2.0**k
+        sym = build_symbol(2, (0.0, 7.0 * c**2, 3.0 * c**3))
+        struct = critical_structure(sym)
+        assert check_zeros(sym, struct).passed
+        for got, want in zip(zeros_Q_levels(sym, 41, struct), base, strict=True):
+            assert got.tobytes() == (c * want).tobytes()
 
 
 def test_zeros_Q_pinned_bits(can, small):
     # sha256 of the zeros' bytes; a last-bit drift in any zero changes them.
-    # The walk's pins were recorded from 48 single bisection steps over the
-    # full recurrence, the sign count's when it replaced the walk in zeros_Q
+    # Recorded when the sign count replaced the level walk in zeros_Q; the
+    # ladder's last level must hit the same bits
     pins = (
-        (can, 60, "3f0c813adde7ebf54d1f5bda893f1968f953efc7e66fbdac41dd36986fca604b",
-         "bba0ac89ad66f6e547ef7a26c436d31d9c2766fc21eec840c1455ea908974575"),
-        (small, 90, "5eadc854958c0755a655ba4b41d6cc61a1236dce52ae514f315e33595fe33418",
-         "84801eedf7bf323b6ae784262e2a0b3c8d2629b966f1f140e4e4192a09dc5d2d"),
+        (can, 60, "bba0ac89ad66f6e547ef7a26c436d31d9c2766fc21eec840c1455ea908974575"),
+        (small, 90, "84801eedf7bf323b6ae784262e2a0b3c8d2629b966f1f140e4e4192a09dc5d2d"),
     )
-    for sym, n, walk, count in pins:
-        *_, last = zeros_Q_levels(sym, n)
-        assert hashlib.sha256(last.tobytes()).hexdigest() == walk
-        assert hashlib.sha256(zeros_Q(sym, n).tobytes()).hexdigest() == count
+    for sym, n, pin in pins:
+        assert hashlib.sha256(zeros_Q(sym, n).tobytes()).hexdigest() == pin
+        assert hashlib.sha256(zeros_Q_levels(sym, n)[-1].tobytes()).hexdigest() == pin
 
 
 def test_zeros_Q_any_scale():
     # Q_n at the cut ends is about (cut width / 4)^n: 1e-600 for (0, 1e-4)
     # at n = 300 and 1e+400 for (0, 1e4) at n = 200, both past the float
-    # range, where the walk stops with Underflow and NonFinite
+    # range
     for a1, n in ((1e-4, 300), (1e4, 200)):
         zs = zeros_Q(build_symbol(1, (0.0, a1)), n)
         width = 4.0 * np.sqrt(a1)
@@ -237,19 +204,48 @@ def test_zeros_Q_chebyshev_any_symbol(a0, a1, n):
                                rtol=0, atol=tol)
 
 
+def _exact_sign(sym, n, x: Fraction) -> int:
+    """Sign of Q_n(x) by the recurrence in exact rationals: every float
+    is a dyadic rational, so no step rounds."""
+    a = [Fraction(v) for v in sym.a]
+    cur, hist = Fraction(1), [Fraction(0)] * sym.p
+    for _ in range(n):
+        nxt = (x - a[0]) * cur - sum(ak * h for ak, h in zip(a[1:], hist))
+        cur, hist = nxt, [cur] + hist[:-1]
+    return (cur > 0) - (cur < 0)
+
+
+def _certify(sym, n, zs, cut) -> int:
+    """The largest k (1, 2, 4, 8 or 16) such that Q_n has opposite exact
+    signs at z - k u and z + k u for each float zero z, u the spacing of
+    floats at the cut's magnitude, with the n intervals disjoint: a proof
+    that each of the n zeros of Q_n lies within k u of one float zero.
+    AssertionError when 16 is not enough."""
+    ulp = Fraction(float(np.spacing(max(abs(cut.lo), abs(cut.hi)))))
+    worst, ends = 0, []
+    for z in map(Fraction, zs):
+        k = 1
+        while _exact_sign(sym, n, z - k * ulp) == _exact_sign(sym, n, z + k * ulp):
+            k *= 2
+            assert k <= 16, f"zero {float(z)!r} of Q_{n} not certified within 16 ulps"
+        worst = max(worst, k)
+        ends += [z - k * ulp, z + k * ulp]
+    assert all(a < b for a, b in zip(ends, ends[1:]))
+    return worst
+
+
 @settings(deadline=None, max_examples=8, derandomize=True, database=None)
 @given(
     s=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
     rho=st.floats(1.5, 8.0),
     n=st.integers(1, 40),
 )
-def test_zeros_Q_cubic_matches_walk(s, rho, n):
+def test_zeros_Q_cubic_certified(s, rho, n):
     sym, _ = cubic_build(CubicParams(x1=-s * rho, x2=-s))
     struct = critical_structure(sym)
     g1 = struct.cut(1)
     zs = zeros_Q(sym, n, struct)
-    *_, walk = zeros_Q_levels(sym, n, struct)
-    assert _ulps(zs, walk, g1) <= 2.0
+    assert zs.size == n and _certify(sym, n, zs, g1) <= 16
     # Q_n alternates in sign at the cut ends and between its zeros
     checks = np.concatenate(([g1.lo], 0.5 * (zs[:-1] + zs[1:]), [g1.hi]))
     signs = np.sign(eval_Q(sym, n, checks))
@@ -259,23 +255,29 @@ def test_zeros_Q_cubic_matches_walk(s, rho, n):
 def test_zeros_Q_degree_zero_is_empty(can):
     zs = zeros_Q(can, 0)
     assert isinstance(zs, np.ndarray) and zs.shape == (0,)
-    assert list(zeros_Q_levels(can, 0)) == []
+    assert zeros_Q_levels(can, 0) == []
+
+
+def test_zeros_refuse_negative_degree(cheb_struct):
+    # refused before any structure is built: this symbol has none
+    imaginary = build_symbol(1, (0.0, -0.25))
+    for find in (zeros_Q, zeros_Q_levels):
+        for struct in (None, cheb_struct):
+            with pytest.raises(ValueError, match="need n >= 0"):
+                find(imaginary, -1, struct)
 
 
 def test_zeros_levels_raise_on_broken_bracket(cheb, cheb_struct):
-    # on [-0.9, 0.9] the brackets hold up to Q_5; cos(pi/7) > 0.9, so the
-    # outer brackets of level 6 hold no zero of Q_6
+    # on [-0.9, 0.9] the counts hold up to Q_5; cos(pi/7) > 0.9, so Q_6 has
+    # a zero below -0.9: the sign count sees it at the cut end, for one
+    # degree and for the ladder alike
     narrow = replace(cheb_struct, cuts=(Cut(1, -0.9, 0.9),))
-    levels = zeros_Q_levels(cheb, 10, narrow)
-    for m in range(1, 6):
-        assert next(levels).size == m
-    with pytest.raises(InterlacingViolation, match="Q_6 does not change sign"):
-        next(levels)
-    # the sign count sees it at the cut end: five zeros of Q_6 above -0.9
+    assert [zs.size for zs in zeros_Q_levels(cheb, 5, narrow)] == [1, 2, 3, 4, 5]
     assert zeros_Q(cheb, 5, narrow).size == 5
-    with pytest.raises(InterlacingViolation,
-                       match="Q_0..Q_6 change sign 5 times at cut end -0.9, not 6"):
-        zeros_Q(cheb, 6, narrow)
+    for find in (zeros_Q, zeros_Q_levels):
+        with pytest.raises(InterlacingViolation,
+                           match="Q_0..Q_6 change sign 5 times at cut end -0.9, not 6"):
+            find(cheb, 6 if find is zeros_Q else 10, narrow)
     # a_1 < 0: the zeros of Q_4 are imaginary, yet Q_0..Q_4 change sign 4
     # times at -1 and never at 1, so only the closing sign check sees it
     imaginary = build_symbol(1, (0.0, -0.25))
@@ -291,8 +293,9 @@ def test_zeros_canonical_frozen(can):
 
 def test_zeros_inside_cut_and_interlace(can, can_struct):
     g1 = can_struct.cut(1)
-    levels = zeros_Q_levels(can, 25, can_struct)
-    prev = next(levels)
+    # each level is found on its own, so interlacing compares independent
+    # results
+    prev, *levels = zeros_Q_levels(can, 25, can_struct)
     for n, zs in enumerate(levels, start=2):
         assert zs.size == n
         assert np.all(np.diff(zs) > 0)
