@@ -19,7 +19,9 @@ This module alone turns the chain into frozen tanh-sinh rules, at one
 fixed level per kind.  `product_measure` freezes the next measure once
 per product.  A system keeps, through `NikishinSystem._once`, one rule
 per weight it integrates against and the far-field moments of Psi_{n,1};
-Psi stage values are rebuilt on each call.
+Psi stage values are rebuilt on each call.  Every Cauchy transform of a
+frozen rule, in the product densities and in Psi_{n,j}, runs through one
+kernel, `_cauchy_sum`, in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -42,25 +44,33 @@ from .quadrature import (
 from .polyseq import eval_Q, moments, multi_index
 
 _LOG_FLOOR = math.log(1e-14) - 34.0
-# points per block of the Cauchy kernel: 64 rows keep each complex Psi
-# temporary near 5 MB; product_measure's real blocks stay at 512, where
-# 64 rows was slower
-_PSI_ROWS = 64
-_REAL_ROWS = 512
+# entries (points x nodes) per block of the Cauchy kernel: 512 KiB real,
+# 1 MiB complex.  Peak RSS of run_suite(full) on both desk symbols, by
+# budget: 45.7 MB at 2^16, 47.1 MB at 2^17, 65 MB at 2^20.  Below 2^16
+# the per-block overhead shows: the product-measure density runs 9%
+# slower at 2^15 and 25% slower at 2^14
+_BLOCK_ENTRIES = 1 << 16
 _FAR_TERMS = 40  # moments in the 1/lam expansion of Psi_{n,1}
 
 
-def _cauchy_sum(lam: np.ndarray, t: np.ndarray, wf: np.ndarray,
-                rows: int) -> np.ndarray:
+def _cauchy_sum(lam: np.ndarray, t: np.ndarray, wf: np.ndarray) -> np.ndarray:
     """sum_i wf_i / (lam - t_i) at each point of the 1-d array lam.
 
-    The (points, nodes) kernel is formed `rows` points at a time, which
-    bounds its size; a row's sum does not depend on its block.
+    The (points, nodes) kernel is formed in place in one buffer of at
+    most _BLOCK_ENTRIES entries, reused block after block.  Each row is
+    the same subtraction, division and contiguous sum at any block size,
+    so a row's sum does not depend on its block.
     """
-    return np.concatenate([
-        (wf / (lam[s : s + rows, None] - t)).sum(axis=1)
-        for s in range(0, max(lam.size, 1), rows)
-    ])
+    out = np.empty(lam.size, dtype=np.result_type(lam, t, wf))
+    rows = max(1, min(lam.size, _BLOCK_ENTRIES // max(t.size, 1)))
+    buf = np.empty((rows, t.size), dtype=out.dtype)
+    for s in range(0, lam.size, rows):
+        r = min(rows, lam.size - s)
+        blk = buf[:r]
+        np.subtract(lam[s : s + r, None], t, out=blk)
+        np.divide(wf, blk, out=blk)
+        blk.sum(axis=1, out=out[s : s + r])
+    return out
 
 
 def product_measure(beta_j: MeasureHandle, beta_next: MeasureHandle) -> MeasureHandle:
@@ -68,9 +78,9 @@ def product_measure(beta_j: MeasureHandle, beta_next: MeasureHandle) -> MeasureH
 
     The density is (x - lam_next) * hat(beta_next)(x) * beta_j'(x) with
     lam_next the finite end of the next cut.  The Cauchy transform is
-    evaluated through a frozen rule on beta_next, batched over x; this
-    is safe because adjacent cuts are disjoint, so the kernel stays
-    bounded on the support of beta_j.
+    evaluated through a frozen rule on beta_next by `_cauchy_sum`, all x
+    of one call at once; this is safe because adjacent cuts are disjoint,
+    so the kernel stays bounded on the support of beta_j.
     """
     if not beta_next.cut.is_ray:
         raise ValueError("next measure must live on a ray cut")
@@ -82,7 +92,7 @@ def product_measure(beta_j: MeasureHandle, beta_next: MeasureHandle) -> MeasureH
 
     def dens(x):
         xa = np.asarray(x, dtype=float)
-        hat = _cauchy_sum(xa.reshape(-1), t, w, _REAL_ROWS).reshape(xa.shape)
+        hat = _cauchy_sum(xa.reshape(-1), t, w).reshape(xa.shape)
         val = (xa - lam_next) * hat * beta_j.density(xa)
         return val if xa.ndim else float(val)
 
@@ -275,7 +285,7 @@ def _psi_at(sys: NikishinSystem, n: int, j: int, lam: np.ndarray) -> np.ndarray:
     flat = lam.reshape(-1)
     if j > 1:
         t, w, psi = _psi_stage_values(sys, n, j - 1)
-        return _cauchy_sum(flat, t, w * psi, _PSI_ROWS).reshape(lam.shape)
+        return _cauchy_sum(flat, t, w * psi).reshape(lam.shape)
     rule = sys.sigma_rule(1)
     lo, hi = sys.struct.cut(1).endpoints()
     far = np.abs(flat) > 3.0 * max(abs(lo), abs(hi))
@@ -292,7 +302,7 @@ def _psi_at(sys: NikishinSystem, n: int, j: int, lam: np.ndarray) -> np.ndarray:
         out[far] = acc * zi ** (m0 + 1)
     if not far.all():
         wq = rule.w * eval_Q(sys.sym, n, rule.x)
-        out[~far] = _cauchy_sum(flat[~far], rule.x, wq, _PSI_ROWS)
+        out[~far] = _cauchy_sum(flat[~far], rule.x, wq)
     return out.reshape(lam.shape)
 
 
@@ -310,7 +320,7 @@ def _check_tail(sys: NikishinSystem, n: int, j: int) -> None:
 
 
 def psi_values(sys: NikishinSystem, n: int, j: int, lams) -> np.ndarray:
-    """Psi_{n,j} on an array of points off Gamma_j (shares the stage cache)."""
+    """Psi_{n,j} on an array of points off Gamma_j."""
     _check_tail(sys, n, j)
     return _psi_at(sys, n, j, np.asarray(lams, dtype=complex))
 

@@ -27,7 +27,7 @@ from symlab import (
 from symlab.asymptotics import ToeplitzSection, _prefactor, _widom_terms
 from symlab.branches import solve_grid
 from symlab.cubic import CubicParams, cubic_build
-from symlab.errors import NearBranchPoint, OnCut, TailDivergence
+from symlab.errors import DivisionBlowup, NearBranchPoint, OnCut, TailDivergence
 from symlab.verify import _offcut_box
 
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j]
@@ -338,3 +338,13 @@ def test_jacobi_perron_matches_branch_powers(can):
         got = jacobi_perron(can, lam, 80)
         assert got[0] == pytest.approx(z0, rel=1e-9)
         assert got[1] == pytest.approx(z0 * z0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["cheb", "can"])
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_jacobi_perron_at_a0_is_a_division_blowup(name, depth, request):
+    # at lam = a_0 the innermost floor's trailing denominator lam - a_0 is
+    # exactly zero, whether that floor is a leading one or a tail one
+    sym = request.getfixturevalue(name)
+    with pytest.raises(DivisionBlowup, match="trailing denominator 0"):
+        jacobi_perron(sym, sym.a[0], depth)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ from symlab import (
     widom_psi,
 )
 from symlab.branches import rho_density, rho_measure
-from symlab.nikishin import _flat_rule
+from symlab import nikishin
+from symlab.nikishin import _cauchy_sum, _flat_rule, _psi_stage_values
 from symlab.quadrature import FixedRule, MeasureHandle, build_fixed_rule
 
 CAN_L1_MOMENTS = [1, 0, 7, 3, 98, 105, 1742, 3087]
@@ -129,6 +131,56 @@ def test_psi_values_rows_ignore_their_batch(can_sys):
         batch = psi_values(can_sys, 4, j, lams)
         alone = np.concatenate([psi_values(can_sys, 4, j, lams[i : i + 1]) for i in range(200)])
         assert batch.tobytes() == alone.tobytes()
+
+
+def _kernel_inputs(can_sys, path):
+    """(lam, t, wf) of the real product-measure path or the complex Psi path."""
+    if path == "real":  # sigma_2's density on Gamma_1 against the rho_2 rule
+        rule = build_fixed_rule(can_sys.rho[1], level=8)
+        g1 = can_sys.struct.cut(1)
+        return np.linspace(g1.lo, g1.hi, 52)[1:-1], rule.x, rule.w
+    t, w, psi = _psi_stage_values(can_sys, 4, 1)  # the stage of Psi_{4,2}
+    rng = np.random.default_rng(7)
+    lam = rng.uniform(-40, 40, 50) + 1j * rng.uniform(0.5, 20, 50)
+    return lam, t, w * psi
+
+
+@pytest.mark.parametrize("path", ["real", "complex"])
+def test_cauchy_sum_ignores_its_blocking(can_sys, path, monkeypatch):
+    # one row per block, 7 rows per block (the last block holds 1), and
+    # every row in one block give the same bytes as the unblocked kernel
+    lam, t, wf = _kernel_inputs(can_sys, path)
+    want = (wf / (lam[:, None] - t)).sum(axis=1)
+    for rows in (1, 7, lam.size):
+        monkeypatch.setattr(nikishin, "_BLOCK_ENTRIES", rows * t.size)
+        got = _cauchy_sum(lam, t, wf)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        empty = _cauchy_sum(lam[:0], t, wf)
+        assert empty.shape == (0,) and empty.dtype == want.dtype
+
+
+def test_product_density_points_ignore_their_batch(can_sys):
+    # the real kernel path: more points than one kernel block, each
+    # evaluated alone against all at once
+    g1 = can_sys.struct.cut(1)
+    xs = np.linspace(g1.lo, g1.hi, 1002)[1:-1]
+    dens = can_sys.sigma[1].density
+    alone = np.array([dens(x) for x in xs])
+    assert dens(xs).tobytes() == alone.tobytes()
+
+
+def test_product_rule_memory_is_bounded(can):
+    # freezing the product-measure rule must not scale with the kernel:
+    # two fresh (points, nodes) temporaries per 512-point block trace at
+    # 35 MB here, the one bounded block buffer at about 3 MB
+    sys_ = build_system(can)
+    tracemalloc.start()
+    try:
+        sys_.sigma_rule(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_psi_p_closed_form_spot(can, can_sys):
