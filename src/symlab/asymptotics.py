@@ -242,9 +242,7 @@ def _hausdorff(roots: np.ndarray, cut, samples: int = 512) -> float:
         return 0.0
     lo = max(cut.lo, float(roots.min()))
     hi = min(cut.hi, float(roots.max()))
-    d_root = max(
-        max(cut.lo - x, x - cut.hi, 0.0) for x in roots
-    )
+    d_root = max(cut.distance(x) for x in roots)
     if hi <= lo:
         return float(d_root)
     pts = np.linspace(lo, hi, samples)

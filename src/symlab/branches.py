@@ -8,10 +8,12 @@ reproduces (z_0, z_0^2, ..., z_0^p) at large lambda.
 Boundary values on a cut are taken from below through a geometric
 epsilon schedule with Richardson extrapolation.  Density evaluation on
 quadrature grids takes a cheaper route: at real x inside cut k the root
-set is real except for the single conjugate pair (k-1, k), so one sign
-per cut (which pair member is the minus-side limit, kept on the
-`CriticalStructure`) resolves the boundary value from a direct
-real-coefficient solve.  The two routes are tested against each other.
+set is real except for the single conjugate pair (k-1, k), and the
+minus-side limit z_{k-1,-} is the member whose modulus shrinks as
+lambda = x - i eps leaves the cut, the one with Im(1/(z a'(z))) < 0
+(so its conjugate carries the positive s_k density).  That picks the
+member at every node from a direct real-coefficient solve.  The two
+routes are tested against each other.
 
 Every measure on cut k (rho_k, s_k, the flat weights, mu_k) reads the
 same z_{k-1,-}(x), and tanh-sinh nodes depend only on the cut, so
@@ -23,7 +25,6 @@ distinct node): each node of a cut is solved once for the symbol.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +121,7 @@ def boundary_values(
     )
 
 
-# ---- cached-sign direct densities on cuts ----
-
-def _reference_point(cut: Cut) -> float:
-    if not cut.is_ray:
-        return 0.5 * (cut.lo + cut.hi)
-    e = cut.finite_end
-    off = max(1.0, abs(e))
-    return e + off if math.isinf(cut.hi) else e - off
-
-
-def _minus_sign(sym: SymbolCoeffs, k: int, struct: CriticalStructure) -> float:
-    if k not in struct.minus_signs:
-        x_ref = _reference_point(struct.cut(k))
-        s = boundary_values(sym, k, x_ref, struct)
-        struct.minus_signs[k] = math.copysign(1.0, s.z_minus.imag)
-    return struct.minus_signs[k]
-
+# ---- direct densities on cuts ----
 
 def pair_minus(
     sym: SymbolCoeffs,
@@ -178,14 +163,15 @@ def _solve_pair_minus(
     """Solve z_{k-1,-}(x) via the conjugate-pair shortcut.
 
     At real x interior to cut k all branches are real except the tied
-    pair (k-1, k); the cached minus-side imaginary sign picks the member.
-    Rows where the shortcut fails fall back to `boundary_values`.
+    pair (k-1, k).  Moving to lambda = x - i eps moves z by -i eps/a'(z),
+    so d|z|^2/d eps = 2 |z|^2 Im(1/(z a'(z))): the minus-side member is
+    the one where that is negative.  Rows where the pair is not
+    conjugate, or is real, fall back to `boundary_values`.
     """
-    sign = _minus_sign(sym, k, struct)
     roots = solve_grid(sym, xs)
     za, zb = roots[:, k - 1], roots[:, k]
     ok = np.abs(za - np.conj(zb)) <= 1e-6 * (np.abs(za) + 1.0)
-    zm = np.where(za.imag * sign > 0, za, zb)
+    zm = np.where((1.0 / (eval_symbol(sym, za)[2] * za)).imag < 0.0, za, zb)
     bad = ~ok | (np.abs(zm.imag) == 0.0)
     if bad.any():
         for i in np.flatnonzero(bad):

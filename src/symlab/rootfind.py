@@ -142,11 +142,6 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def roots_single(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of one polynomial (1-d coefficient array, low to high)."""
-    return roots_batched(np.asarray(coeffs)[None, :])[0]
-
-
 def bisect(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
            steps: int, per_call: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Narrow brackets [lo, hi] around sign changes of a vectorized f.

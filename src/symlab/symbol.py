@@ -22,7 +22,7 @@ from .errors import (
     NonFinite,
     ZeroLeadingCoefficient,
 )
-from .rootfind import roots_single
+from .rootfind import roots_batched
 
 _REALITY_TOL = 1e-10
 _GAP_TOL = 1e-8
@@ -83,13 +83,13 @@ class CriticalStructure:
 
     Ordering follows the sign orientation: ascending when p critical
     points are negative, descending when p are positive.  `kinds[k]`
-    ('min' or 'max') is defined for k = 2..p.  `minus_signs` holds, per
-    cut k, the imaginary sign of the minus-side boundary value that
-    `branches.pair_minus` resolves once for this symbol.  `pair_memo`
-    holds, per cut k, every z_{k-1,-}(x) that `pair_minus` has solved for
+    ('min' or 'max') is defined for k = 2..p.  `pair_memo` holds, per
+    cut k, every z_{k-1,-}(x) that `branches.pair_minus` has solved for
     this symbol: two arrays sorted together by key, the int64 bit patterns
     of the real nodes x and their values, 24 bytes per distinct node, kept
-    as long as the structure.  Neither field takes part in `==` or `repr`.
+    as long as the structure; each value is the pair member with
+    Im(1/(z a'(z))) < 0 at its own node.  The memo takes no part in `==`
+    or `repr`.
     """
 
     orientation: str  # "p_negative" | "p_positive"
@@ -97,7 +97,6 @@ class CriticalStructure:
     lam: tuple[float, ...]  # r(x_1) ... r(x_{p+1})
     kinds: dict[int, str] = field(default_factory=dict)
     cuts: tuple[Cut, ...] = ()
-    minus_signs: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
     pair_memo: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -202,7 +201,7 @@ def _points(vals: np.ndarray) -> str:
 
 def critical_structure(sym: SymbolCoeffs) -> CriticalStructure:
     """Solve q, verify the p-vs-1 hypothesis, classify, and build cuts."""
-    roots = roots_single(critical_polynomial(sym))
+    roots = roots_batched(critical_polynomial(sym)[None, :])[0]
     scale = max(1.0, float(np.abs(roots).max()))
     if np.any(np.abs(roots.imag) > _REALITY_TOL * (1.0 + np.abs(roots))):
         raise ComplexCriticalPoints(

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from symlab import (
     boundary_values,
+    branches,
     build_symbol,
+    build_system,
     conformal_map,
     critical_structure,
     pair_minus,
@@ -71,12 +73,62 @@ def test_boundary_values_conjugate_on_cut(can, can_struct):
     assert abs(bs.z_plus.imag) > 1e-3
 
 
-def test_pair_minus_matches_boundary(can, can_struct):
-    xs = np.array([-2.0, 0.5, 3.0])
-    zm = pair_minus(can, 1, xs, can_struct)
+P3 = (0.0, 9.99, 6.545, 0.74)
+
+
+@pytest.mark.parametrize("coeffs, k, xs", [
+    ((0.0, 7.0, 3.0), 1, [-2.0, 0.5, 3.0]),
+    ((0.0, 7.0, 3.0), 2, [-6.0, -25.0, -400.0]),
+    ((0.0, 0.25), 1, [-0.9, 0.0, 0.5]),
+    (P3, 1, [-4.0, 0.0, 5.0]),
+    (P3, 2, [-10.0, -50.0, -400.0]),
+    (P3, 3, [30.0, 100.0, 400.0]),
+], ids=["can-1", "can-2", "cheb-1", "p3-1", "p3-2", "p3-3"])
+def test_pair_minus_matches_boundary(coeffs, k, xs):
+    # the epsilon schedule is the independent oracle for the sign rule;
+    # its extrapolation carries up to 1.2e-15 of its own (P3 at -10, against
+    # a 40-digit solve that puts pair_minus within 1.2e-16), hence 2e-15
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    struct = critical_structure(sym)
+    zm = pair_minus(sym, k, np.array(xs), struct)
     for x, z in zip(xs, zm):
-        bs = boundary_values(can, 1, float(x), can_struct)
-        assert z == pytest.approx(bs.z_minus, abs=1e-9)
+        want = boundary_values(sym, k, x, struct).z_minus
+        assert abs(z - want) <= 2e-15 * abs(want)
+
+
+def _interior(cut, m=13):
+    if not cut.is_ray:
+        return np.linspace(cut.lo, cut.hi, m + 2)[1:-1]
+    off = np.geomspace(1e-6, 1e6, m) * cut.scale()
+    return cut.finite_end - off if math.isinf(cut.lo) else cut.finite_end + off
+
+
+def test_densities_need_no_epsilon_schedule(cheb, can, monkeypatch):
+    # every node of a desk symbol is picked by the sign rule alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("boundary_values called")
+
+    monkeypatch.setattr(branches, "boundary_values", refuse)
+    for sym in (cheb, can):
+        struct = critical_structure(sym)
+        for k in range(1, sym.p + 1):
+            assert np.all(s_density(sym, k, _interior(struct.cut(k)), struct) > 0.0)
+    build_system(can, critical_structure(can))
+
+
+@pytest.mark.parametrize("k", [-20, -24, -28, -32, -36])
+def test_s_density_scale_covariant(k):
+    # z -> cz divides every lambda by c and multiplies the density by c;
+    # at |x| near 1 the pair sits by a square-root branch point and the solve
+    # reads a few ulps apart at any scale (8 at k = 16), so |x| <= 0.9 here
+    c = 2.0 ** k
+    base = build_symbol(1, (0.0, 0.25))
+    sym = build_symbol(1, (0.0 / c, 0.25 / c ** 2))
+    struct = critical_structure(sym)
+    xs = np.linspace(-0.9, 0.9, 19)
+    got = s_density(sym, 1, xs / c, struct) / c
+    np.testing.assert_array_max_ulp(got, s_density(base, 1, xs), maxulp=2)
+    build_system(sym, struct)
 
 
 def test_solve_grid_matches_pointwise(can):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symlab import (
+    build_symbol,
     build_system,
     gen_Q,
     integrate,
@@ -21,6 +22,7 @@ from symlab import (
     widom_psi,
 )
 from symlab.branches import rho_density, rho_measure
+from symlab.errors import UnstableOrdering
 from symlab import nikishin
 from symlab.nikishin import _cauchy_sum, _flat_rule, _psi_stage_values
 from symlab.quadrature import FixedRule, MeasureHandle, build_fixed_rule
@@ -93,6 +95,13 @@ def test_build_system_reuses_given_structure(name, request):
     xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
     for a, b in zip(shared.sigma + shared.mu, own.sigma + own.mu):
         assert np.array_equal(a.density(xs), b.density(xs))
+
+
+def test_build_system_p3_unstable_ordering():
+    # far-tail ray nodes (lambda ~ 1e48) leave the conjugate-pair shortcut
+    # for the epsilon schedule, whose branch labels flip there
+    with pytest.raises(UnstableOrdering):
+        build_system(build_symbol(3, (0.0, 9.99, 6.545, 0.74)))
 
 
 def test_c_matrix(can_sys):

@@ -15,6 +15,7 @@ from symlab.errors import (
     ComplexCriticalPoints,
     DivisionAtZero,
     MultipleCriticalPoints,
+    NonFinite,
     ZeroLeadingCoefficient,
 )
 from symlab.symbol import _eval_a
@@ -23,6 +24,12 @@ from symlab.symbol import _eval_a
 def test_build_symbol_rejects_zero_leading():
     with pytest.raises(ZeroLeadingCoefficient):
         build_symbol(2, (0.0, 7.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_symbol_rejects_non_finite(bad):
+    with pytest.raises(NonFinite):
+        build_symbol(2, (0.0, bad, 3.0))
 
 
 def test_build_symbol_rejects_length_mismatch():
