@@ -40,6 +40,8 @@ from .quadrature import build_fixed_rule, rule_apply
 from .rootfind import bisect
 from .nikishin import NikishinSystem
 
+_PSI_REACH = 0.15  # outermost Psi_{n,1} zero / ((n+1)^2 scale): 0.18-0.39 at p = 2, even n
+
 
 # ---- Widom closed forms ----
 
@@ -303,16 +305,20 @@ def _grid_size(inner: float, outer: float) -> int:
 
 
 def _scan_ray(f, cut, inner: float, want: int | None = None,
-              per_call: int = 1) -> np.ndarray:
+              per_call: int = 1, reach: float = 0.0) -> np.ndarray:
     """Sorted sign-change roots of a vectorized f on a ray cut.
 
-    Scans a log grid from `inner` out to a radius that doubles until the
-    outermost sign change sits well inside it (and, when `want` is
-    given, exactly `want` changes are seen), then bisects each bracket,
-    `per_call` steps per call of f.
+    Scans a log grid from `inner` out to R = 4 scale 2^j, from the first
+    j with 0.8 R >= `reach`, doubling R until the outermost sign change
+    sits inside 0.8 R (and, when `want` is given, exactly `want` changes
+    are seen), then bisects each bracket, `per_call` steps per call of f.
+    A result stands if its outermost bracket starts past 0.8 R' for each
+    skipped R', whose scan would fail (missing that root or bracketing it
+    past 0.8 R'); else the scan restarts at the first R' not so covered.
     """
-    outer = 4.0 * cut.scale()
-    for _ in range(24):
+    radii = 4.0 * cut.scale() * 2.0 ** np.arange(24)
+    first = min(int(np.searchsorted(0.8 * radii, reach)), radii.size - 1)
+    for outer in radii[first:]:
         grid = _ray_grid(cut, inner, outer, _grid_size(inner, outer))
         signs = np.sign(f(grid))
         idx = np.flatnonzero(signs[:-1] * signs[1:] < 0)
@@ -320,9 +326,11 @@ def _scan_ray(f, cut, inner: float, want: int | None = None,
             raise CountMismatch(f"found {idx.size} zeros, expected {want}")
         inside = idx.size > 0 and abs(grid[idx[0]] - cut.finite_end) < 0.8 * outer
         if inside and (want is None or idx.size == want):
+            near = abs(grid[idx[0] + 1] - cut.finite_end)
+            if first and near < 0.8 * radii[first - 1]:
+                return _scan_ray(f, cut, inner, want, per_call, reach=near)
             lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60, per_call)
             return np.sort(0.5 * (lo + hi))
-        outer *= 2.0
     raise CountMismatch(f"roots on Gamma_{cut.index} did not stabilize")
 
 
@@ -332,10 +340,10 @@ def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
               struct: CriticalStructure | None = None) -> np.ndarray:
     """The N_{n,1} zeros of Psi_{n,1} on the second cut.
 
-    Scans the rescaled Widom sum (all branch powers divided by the tied
-    pair modulus, so magnitudes stay tame for large n), doubling the
-    truncation radius until the count matches N_{n,1} and the outermost
-    zero sits well inside the scanned range.
+    Scans the rescaled Widom sum (branch powers over the tied pair
+    modulus, tame for large n) from near _PSI_REACH (n + 1)^2 scale, as the
+    outermost zero drifts out like n^2, doubling the radius until the count
+    matches N_{n,1} and that zero sits well inside the scanned range.
     """
     if sym.p < 2:
         raise ValueError("second-kind zeros need p >= 2")
@@ -353,7 +361,7 @@ def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
 
     # four steps per root solve: its cost is per call more than per row
     return _scan_ray(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want,
-                     per_call=4)
+                     per_call=4, reach=_PSI_REACH * (n + 1) ** 2 * cut.scale())
 
 
 def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) -> complex:

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .quadrature import MeasureHandle
 from .rootfind import roots_batched
-from .symbol import CriticalStructure, Cut, SymbolCoeffs, _eval_a, critical_structure, eval_symbol
+from .symbol import CriticalStructure, Cut, SymbolCoeffs, _eval_a, _eval_da, critical_structure
 
 @dataclass(frozen=True)
 class CutSample:
@@ -171,7 +171,7 @@ def _solve_pair_minus(
     roots = solve_grid(sym, xs)
     za, zb = roots[:, k - 1], roots[:, k]
     ok = np.abs(za - np.conj(zb)) <= 1e-6 * (np.abs(za) + 1.0)
-    zm = np.where((1.0 / (eval_symbol(sym, za)[2] * za)).imag < 0.0, za, zb)
+    zm = np.where((1.0 / (_eval_da(sym, za) * za)).imag < 0.0, za, zb)
     bad = ~ok | (np.abs(zm.imag) == 0.0)
     if bad.any():
         for i in np.flatnonzero(bad):
@@ -191,7 +191,7 @@ def s_density(sym: SymbolCoeffs, k: int, x, struct: CriticalStructure | None = N
     if not np.all(cut.contains_interior(xs)):
         raise NotInCut(f"point outside interior of cut {k}")
     zp = np.conj(pair_minus(sym, k, xs, struct))
-    out = (1.0 / eval_symbol(sym, zp)[2] / zp).imag / np.pi
+    out = (1.0 / _eval_da(sym, zp) / zp).imag / np.pi
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -263,19 +263,21 @@ def _psi_stage_values(sys: NikishinSystem, n: int, j: int) -> tuple[np.ndarray, 
 def _psi_far_coeffs(sys: NikishinSystem, n: int) -> tuple[int, np.ndarray]:
     """(n_1, moments int t^m Q_n drho_1 for m = n_1, ..., n_1 + _FAR_TERMS - 1).
 
-    They power the 1/lam expansion of Psi_{n,1}.  Moments below n_1
-    vanish by orthogonality and are pinned to zero instead of being kept
-    as quadrature noise, which would otherwise dominate far out where
-    the true value is below the double-precision floor.
+    They power the 1/lam expansion of Psi_{n,1}; the terms w x^m Q_n(x)
+    are one running product in m, with no power table.  Moments below n_1
+    vanish by orthogonality and are pinned to zero, not kept as quadrature
+    noise, which would dominate far out where the true value is below eps.
     """
 
     def make():
         rule = sys.sigma_rule(1)
         m0 = int(multi_index(n, sys.sym.p).components[0])
-        q = eval_Q(sys.sym, n, rule.x)
-        return m0, np.array(
-            [np.sum(rule.w * rule.x ** (m0 + i) * q) for i in range(_FAR_TERMS)]
-        )
+        t = rule.w * rule.x ** m0 * eval_Q(sys.sym, n, rule.x)
+        c = np.empty(_FAR_TERMS, dtype=t.dtype)
+        for i in range(_FAR_TERMS):
+            c[i] = t.sum()
+            t *= rule.x
+        return m0, c
 
     return sys._once(("far", n), make)
 

@@ -7,8 +7,8 @@ situation here: one root ~ 1/lambda, the rest ~ lambda^(1/p)) are seeded
 on the right circles from the start.  The seeding, like the iteration,
 is whole-batch array work: one hull pass over all rows, no Python loop
 per row.  Rows are independent: a row's roots are bit for bit the same
-whatever rows share its batch and wherever it sits, so callers should
-hand over every polynomial they already know in one call.
+whatever rows share its batch and wherever it sits, so callers hand over
+every polynomial they know in one call, solved _BLOCK_ROWS at a time.
 
 `bisect` is the one real-root refiner: every caller (zeros of Q_n,
 section determinants, second-type zeros) holds sign-change brackets and
@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConvergenceFailure, NonFinite
 
 _MAX_ITER = 60
+# rows per block: a 7,681-row branch solve traces at 3.0 MB, 6.8 MB unblocked
+_BLOCK_ROWS = 2048
 
 
 def _seed(coeffs: np.ndarray) -> np.ndarray:
@@ -92,16 +94,22 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     if not np.all(np.isfinite(coeffs)):
         raise NonFinite("polynomial coefficients must be finite")
-    m = coeffs.shape[0]
     lead = coeffs[:, -1]
     if np.any(np.abs(lead) == 0.0):
         raise ConvergenceFailure("leading coefficient vanished in root solve")
     monic = coeffs / lead[:, None]
+    z = np.empty_like(monic[:, 1:])
+    for s in range(0, len(monic), _BLOCK_ROWS):
+        z[s : s + _BLOCK_ROWS] = _aberth(monic[s : s + _BLOCK_ROWS], s)
+    return z
 
+
+def _aberth(monic: np.ndarray, first: int) -> np.ndarray:
+    """Roots of the monic rows, which start at batch row `first`."""
     z = _seed(monic)
     # the rows still iterating, kept compacted; a row is written back to z
     # when it stops moving
-    rows, za, ma = np.arange(m), z, monic
+    rows, za, ma = np.arange(len(monic)), z, monic
     for _ in range(_MAX_ITER):
         p, dp = _horner_pair(ma, za)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,7 +129,7 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
             break
     z[rows] = za
 
-    # Newton polish, full batch.
+    # Newton polish, full block.
     for _ in range(3):
         p, dp = _horner_pair(monic, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,7 +145,7 @@ def roots_batched(coeffs: np.ndarray) -> np.ndarray:
         i, j = np.argwhere(bad)[0]
         raise ConvergenceFailure(
             f"residual {abs(p[i, j]):.3e} at root {z[i, j]:.6g} "
-            f"(batch row {i}) exceeds tolerance"
+            f"(batch row {first + i}) exceeds tolerance"
         )
     return z
 

@@ -129,14 +129,21 @@ def _eval_a(sym: SymbolCoeffs, z: np.ndarray):
     return a + 1.0 / z
 
 
+def _eval_da(sym: SymbolCoeffs, z: np.ndarray):
+    """a'(z) alone, by Horner on k a_k plus the -1/z^2 term."""
+    if np.any(z == 0):
+        raise DivisionAtZero("symbol has a pole at z = 0")
+    da = np.zeros_like(z, dtype=complex) if np.iscomplexobj(z) else np.zeros_like(z, dtype=float)
+    for k in range(sym.p, 0, -1):
+        da = da * z + k * sym.a[k]
+    return da - 1.0 / z ** 2
+
+
 def eval_symbol(sym: SymbolCoeffs, z):
     """Return (a(z), r(z), a'(z), r'(z)) at a scalar or array argument."""
     z = np.asarray(z)
     az = _eval_a(sym, z)
-    da = np.zeros_like(az)
-    for k in range(sym.p, 0, -1):
-        da = da * z + k * sym.a[k]
-    daz = da - 1.0 / z ** 2
+    daz = _eval_da(sym, z)
     w = 1.0 / z
     r = np.zeros_like(az)
     dr = np.zeros_like(az)

@@ -24,10 +24,12 @@ from symlab import (
     zeros_Q,
     bnk,
 )
-from symlab.asymptotics import ToeplitzSection, _prefactor, _widom_terms
+from symlab import asymptotics
+from symlab.asymptotics import ToeplitzSection, _grid_size, _prefactor, _ray_grid, _widom_terms
 from symlab.branches import solve_grid
 from symlab.cubic import CubicParams, cubic_build
 from symlab.errors import DivisionBlowup, NearBranchPoint, OnCut, TailDivergence
+from symlab.rootfind import bisect
 from symlab.verify import _offcut_box
 
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j]
@@ -215,6 +217,107 @@ def test_psi_zeros_count_matches_tail_index(can, can_sys):
     for n in (6, 8, 12):
         want = sum(multi_index(n, 2).components[1:])
         assert psi_zeros(can, can_sys, n).size == want
+
+
+# ---- the psi_zeros scan against the doubling loop it shortens ----
+
+def _doubling_scan(f, cut, inner, want, per_call):
+    """The ray scan as it was: every radius 4 scale 2^j, from j = 0."""
+    outer = 4.0 * cut.scale()
+    for _ in range(24):
+        grid = _ray_grid(cut, inner, outer, _grid_size(inner, outer))
+        signs = np.sign(f(grid))
+        idx = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        assert idx.size <= want, f"found {idx.size} zeros, expected {want}"
+        inside = idx.size > 0 and abs(grid[idx[0]] - cut.finite_end) < 0.8 * outer
+        if inside and idx.size == want:
+            lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60, per_call)
+            return np.sort(0.5 * (lo + hi))
+        outer *= 2.0
+    pytest.fail("the doubling scan did not stabilize")
+
+
+def _psi_zeros_reference(sym, n):
+    cut = critical_structure(sym).cut(2)
+    want = int(np.sum(multi_index(n, sym.p).components[1:]))
+    if want == 0:
+        return np.array([])
+
+    def scaled(xs):
+        z = asymptotics.solve_grid(sym, np.asarray(xs, dtype=float))
+        powers = (np.abs(z[:, 1:2]) / z[:, 1:]) ** (n + 1)
+        return (_prefactor(sym) * _widom_terms(z, 1, powers)).real
+
+    return _doubling_scan(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want, 4)
+
+
+@pytest.fixture
+def shared_solves(monkeypatch):
+    """Branch solves memoised by input bytes, for psi_zeros and the reference.
+
+    A row's roots do not depend on its batch, so a hit returns the bytes a
+    fresh solve would; the reference then pays only for the radii that
+    psi_zeros skips.  Returns the list of 1-d (grid) call sizes.
+    """
+    memo, grids = {}, []
+
+    def solve(sym, lams):
+        lams = np.asarray(lams)
+        if lams.ndim == 1:
+            grids.append(lams.size)
+        key = (sym.a, lams.tobytes())
+        if key not in memo:
+            memo[key] = solve_grid(sym, lams)
+        return memo[key]
+
+    monkeypatch.setattr(asymptotics, "solve_grid", solve)
+    return grids
+
+
+def _cubic16():
+    # s in [0.1, 10] crossed with rho in [1.5, 8]: x = (-s rho, -s)
+    return [cubic_build(CubicParams(-s * r, -s))[0].a
+            for s in np.geomspace(0.1, 10.0, 4) for r in np.geomspace(1.5, 8.0, 4)]
+
+
+P3_SYMBOLS = [(0.0, 9.99, 6.545, 0.74), (-14.1648, 446.5721, 58.0789, 0.1686)]
+
+
+@pytest.mark.parametrize("a, ns", [((0.0, 7.0, 3.0), range(1, 61))]
+                         + [(a, (4, 20, 60)) for a in _cubic16()]
+                         + [(a, (20,)) for a in P3_SYMBOLS])
+def test_psi_zeros_match_doubling_scan(a, ns, shared_solves):
+    sym = build_symbol(len(a) - 1, a)
+    for n in ns:
+        got = psi_zeros(sym, None, n)
+        want = _psi_zeros_reference(sym, n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_psi_zeros_over_prediction_rescans(can, shared_solves, monkeypatch):
+    # a reach 10-20 times the true one starts past radii the certificate
+    # cannot cover: the scan must come back down and still match
+    monkeypatch.setattr(asymptotics, "_PSI_REACH", 4.0)
+    outers = []
+
+    def ray_grid(cut, inner, outer, m):
+        outers.append(outer)
+        return _ray_grid(cut, inner, outer, m)
+
+    monkeypatch.setattr(asymptotics, "_ray_grid", ray_grid)
+    sym2 = build_symbol(2, _cubic16()[5])
+    for sym, n in ((can, 6), (can, 20), (can, 60), (sym2, 20)):
+        outers.clear()
+        got = psi_zeros(sym, None, n)
+        assert any(b < a for a, b in zip(outers, outers[1:]))  # a rescan ran
+        assert got.tobytes() == _psi_zeros_reference(sym, n).tobytes()
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_psi_zeros_builds_at_most_two_grids(can, n, shared_solves):
+    # the doubling loop builds 7, 9 and 10 grids here
+    psi_zeros(can, None, n)
+    assert 1 <= len(shared_solves) <= 2
 
 
 def test_gen_spectrum_k0_is_zeros(can):

@@ -3,12 +3,14 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from symlab import (
     build_symbol,
     build_system,
+    eval_Q,
     gen_Q,
     integrate,
     moments,
@@ -24,7 +26,7 @@ from symlab import (
 from symlab.branches import rho_density, rho_measure
 from symlab.errors import UnstableOrdering
 from symlab import nikishin
-from symlab.nikishin import _cauchy_sum, _flat_rule, _psi_stage_values
+from symlab.nikishin import _cauchy_sum, _flat_rule, _psi_far_coeffs, _psi_stage_values
 from symlab.quadrature import FixedRule, MeasureHandle, build_fixed_rule
 
 CAN_L1_MOMENTS = [1, 0, 7, 3, 98, 105, 1742, 3087]
@@ -212,6 +214,28 @@ def test_psi_far_field_decay(can_sys):
         assert math.log2(v1 / v2) == pytest.approx(n1 + 1, abs=0.5)
 
 
+@pytest.mark.parametrize("name", ["cheb", "can"])
+def test_psi_far_coeffs_match_a_50_digit_sum(name, request):
+    # sum_i w_i x_i^m Q_n(x_i) over the same rule and the same double
+    # Q_n values, summed at 50 digits; the terms with the largest powers
+    # carry the most rounding, so the first two and the last two m are
+    # checked
+    sym = request.getfixturevalue(name)
+    sys_ = request.getfixturevalue(name + "_sys")
+    rule = sys_.sigma_rule(1)
+    with mp.workdps(50):
+        xs = [mp.mpf(float(v)) for v in rule.x]
+        powers = {i: [x**i for x in xs] for i in (0, 1, 38, 39)}
+        for n in range(9):
+            m0, got = _psi_far_coeffs(sys_, n)
+            q = eval_Q(sym, n, rule.x)
+            u = [mp.mpf(float(w)) * mp.mpf(float(v)) * x**m0
+                 for w, v, x in zip(rule.w, q, xs)]
+            for i, xi in powers.items():
+                err = abs(mp.mpf(float(got[i])) - mp.fdot(u, xi))
+                assert err <= 1e-15 * np.abs(rule.w * rule.x ** (m0 + i) * q).sum()
+
+
 def test_psi_values_level_range(can_sys):
     # level 0 is the polynomial itself, served by eval_Q, not the chain
     with pytest.raises(ValueError):
@@ -231,10 +255,10 @@ def test_chain_pinned_bits(can, can_sys):
     for n in range(9):
         for j in (1, 2):
             h.update(psi_values(can_sys, n, j, probes).tobytes())
-    assert h.hexdigest() == "223e299697a1a0b405bb4f9e6243fee3e01ded3cc6a6053d73f5df91e7db144d"
+    assert h.hexdigest() == "5591a9eaea3760d9a7d37aa9f05342dfdffc693c0961887c11e72acbb73766c8"
     resid, scale = orthogonality_second_kind(can, can_sys, 7, 1, 2, 1)
     assert hashlib.sha256(resid.tobytes() + scale.tobytes()).hexdigest() == (
-        "ac03b9f6c2823d6decbbd90198dec431f4b1b24c7c57f200bf0e8539bf55bd9d")
+        "4d066e3e58f91c30aad30f8c147b0d6c93ed3bd8d4b7bf69d2ff8a7b5bfe469f")
     g1 = can_sys.struct.cut(1)
     xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
     assert hashlib.sha256(can_sys.sigma[1].density(xs).tobytes()).hexdigest() == (

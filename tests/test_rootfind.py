@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from symlab import critical_structure, rootfind
+from symlab.branches import solve_grid
+from symlab.cubic import CubicParams, cubic_build
 from symlab.errors import ConvergenceFailure
 from symlab.rootfind import _seed, bisect, roots_batched
 
@@ -154,3 +159,57 @@ def test_far_root_off_by_a_factor_is_refused(deg):
     with pytest.raises(ConvergenceFailure):
         roots_batched(c)
 
+
+
+# ---- blocks: a row's roots do not depend on the block it is solved in ----
+
+def _branch_rows():
+    """z (a(z) - lam) rows of (0,7,3) and a p = 3 symbol at 50 lambdas each."""
+    rng = np.random.default_rng(3)
+    lams = np.concatenate([rng.uniform(-60, 60, 25),
+                           rng.uniform(-60, 60, 25) + 1j * rng.uniform(-20, 20, 25)])
+    rows = []
+    for a in ((0.0, 7.0, 3.0), (0.0, 9.99, 6.545, 0.74)):
+        c = np.zeros((lams.size, len(a) + 1), dtype=complex)
+        c[:, 0], c[:, 1], c[:, 2:] = 1.0, a[0] - lams, a[1:]
+        rows.append(c)
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocks_change_no_bit(block, monkeypatch):
+    # one row per block, and 7 rows per block with a partial last block,
+    # against every row in one block
+    for c in _branch_rows():
+        monkeypatch.setattr(rootfind, "_BLOCK_ROWS", c.shape[0])
+        want = roots_batched(c)
+        monkeypatch.setattr(rootfind, "_BLOCK_ROWS", block)
+        got = roots_batched(c)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_block_failure_names_the_batch_row(monkeypatch):
+    # row 8 is z^4 - 1e20 z^3, refused (see above); in blocks of 7 it is
+    # row 1 of the second block, and the message keeps its batch index
+    c = np.zeros((10, 5))
+    c[:, 0], c[:, -1] = -1.0, 1.0
+    c[8, 0], c[8, -2] = 0.0, -1e20
+    monkeypatch.setattr(rootfind, "_BLOCK_ROWS", 7)
+    with pytest.raises(ConvergenceFailure, match=r"\(batch row 8\)"):
+        roots_batched(c)
+
+
+def test_branch_solve_working_set_is_bounded():
+    # 7,681 rows, as many as the level-10 s_2 rule of a small-gap cubic
+    # symbol: one block of all rows traces at 6.8 MB, blocks of 2048 at 3.0 MB
+    sym, _ = cubic_build(CubicParams(-1.1934, -0.6424))
+    cut = critical_structure(sym).cut(2)
+    xs = cut.finite_end - np.geomspace(1e-6, 1e6, 7681)
+    tracemalloc.start()
+    try:
+        solve_grid(sym, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
