@@ -19,7 +19,9 @@ Every measure on cut k (rho_k, s_k, the flat weights, mu_k) reads the
 same z_{k-1,-}(x), and tanh-sinh nodes depend only on the cut, so
 `pair_minus` memoises its values per symbol and per cut on the
 `CriticalStructure`, keyed by the bit pattern of x (24 bytes per
-distinct node): each node of a cut is solved once for the symbol.
+distinct node).  The symbol holds its one structure, so the memo lives
+as long as the symbol, and each node of a cut is solved once for the
+symbol whether or not a caller passes `struct`.
 """
 
 from __future__ import annotations

@@ -141,14 +141,13 @@ def _density_fn(sym, name: str):
         raise ConfigError(
             f"bad --measure {name!r}, want rho_j, sigma_j, s_k or mu_k with index <= p"
         )
-    struct = critical_structure(sym)
     if kind == "rho":
-        return lambda x: rho_density(sym, j, x, struct)
+        return lambda x: rho_density(sym, j, x)
     if kind == "s":
-        return lambda x: s_density(sym, j, x, struct)
+        return lambda x: s_density(sym, j, x)
     if kind == "mu":
-        return lambda x: mu_density(sym, j, x, struct)
-    sigma = build_system(sym, struct).sigma[j - 1]
+        return lambda x: mu_density(sym, j, x)
+    sigma = build_system(sym).sigma[j - 1]
     return lambda x: float(np.real(sigma.density(np.array([x]))[0]))
 
 
@@ -163,7 +162,7 @@ def cmd_density(sym, args) -> int:
 def cmd_spectrum(sym, args) -> int:
     if not 0 <= args.k <= sym.p - 1:
         raise ConfigError(f"need 0 <= k <= p-1 = {sym.p - 1}")
-    rep = gen_spectrum(sym, args.n, args.k, struct=critical_structure(sym))
+    rep = gen_spectrum(sym, args.n, args.k)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",

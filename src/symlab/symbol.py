@@ -4,7 +4,8 @@
 real line, checks the p-vs-1 sign hypothesis, classifies each interior
 critical value as a local min or max of r, and lays down the system of
 pairwise disjoint spectral cuts.  Everything downstream (branches,
-measures, asymptotics) consumes the resulting `CriticalStructure`.
+measures, asymptotics) consumes the resulting `CriticalStructure`, which
+the symbol holds once built.
 """
 
 from __future__ import annotations
@@ -30,10 +31,17 @@ _GAP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SymbolCoeffs:
-    """Validated coefficients (a_0, ..., a_p) with a_{-1} = 1 implicit."""
+    """Validated coefficients (a_0, ..., a_p) with a_{-1} = 1 implicit.
+
+    `_structure` holds the symbol's `CriticalStructure` once
+    `critical_structure` has built it; it takes no part in `==`, hashing
+    or `repr`.
+    """
 
     p: int
     a: tuple[float, ...]
+    _structure: CriticalStructure | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,10 +94,10 @@ class CriticalStructure:
     ('min' or 'max') is defined for k = 2..p.  `pair_memo` holds, per
     cut k, every z_{k-1,-}(x) that `branches.pair_minus` has solved for
     this symbol: two arrays sorted together by key, the int64 bit patterns
-    of the real nodes x and their values, 24 bytes per distinct node, kept
-    as long as the structure; each value is the pair member with
-    Im(1/(z a'(z))) < 0 at its own node.  The memo takes no part in `==`
-    or `repr`.
+    of the real nodes x and their values, 24 bytes per distinct node.
+    The symbol holds its structure, so the memo lives as long as the
+    symbol; each value is the pair member with Im(1/(z a'(z))) < 0 at its
+    own node.  The memo takes no part in `==` or `repr`.
     """
 
     orientation: str  # "p_negative" | "p_positive"
@@ -207,6 +215,19 @@ def _points(vals: np.ndarray) -> str:
 
 
 def critical_structure(sym: SymbolCoeffs) -> CriticalStructure:
+    """The symbol's critical structure, built on the first request.
+
+    The symbol then holds it, and every later call returns that same
+    object, `pair_memo` included, so passing a structure around is
+    optional.  A refusal is not held: it is raised again on each call.
+    Equal symbols built separately hold separate structures.
+    """
+    if sym._structure is None:
+        object.__setattr__(sym, "_structure", _solve_structure(sym))
+    return sym._structure
+
+
+def _solve_structure(sym: SymbolCoeffs) -> CriticalStructure:
     """Solve q, verify the p-vs-1 hypothesis, classify, and build cuts."""
     roots = roots_batched(critical_polynomial(sym)[None, :])[0]
     scale = max(1.0, float(np.abs(roots).max()))
@@ -232,7 +253,7 @@ def critical_structure(sym: SymbolCoeffs) -> CriticalStructure:
         )
 
     if orientation == "p_positive":
-        inner = critical_structure(_flip(sym))
+        inner = _solve_structure(_flip(sym))
         x = tuple(-v for v in inner.x)
         lam = tuple(-v for v in inner.lam)
         kinds = {k: ("min" if v == "max" else "max") for k, v in inner.kinds.items()}

@@ -6,7 +6,7 @@ row of a root solve, and each stacked determinant, does not depend on
 the rest of its batch.  Each test keeps the former one-call-per-piece
 code as its reference and compares bytes.  The same independence makes
 the `pair_minus` memo exact: its values are compared with direct solves
-on a fresh structure.
+on the structure of an equal symbol built anew.
 """
 
 import math
@@ -247,9 +247,15 @@ def test_check_cubic_reuses_the_suite_structure(can_struct):
 
 # ---- the pair_minus memo: each cut node solved once per symbol ----
 
+def _anew(sym):
+    """An equal symbol built separately: its structure and memo start empty."""
+    return build_symbol(sym.p, sym.a)
+
+
 def _fresh(sym, k, xs):
     """z_{k-1,-}(x) solved directly on a new structure, no memo involved."""
-    return _solve_pair_minus(sym, k, np.asarray(xs, dtype=float), critical_structure(sym))
+    return _solve_pair_minus(sym, k, np.asarray(xs, dtype=float),
+                             critical_structure(_anew(sym)))
 
 
 def _grid_rows(monkeypatch):
@@ -278,8 +284,8 @@ def test_warm_memo_matches_fresh_solves(coeffs):
         checks.append(check_psi_p_closed_form(sym, sys))
     assert all(c.passed for c in checks)
     assert sorted(warm.pair_memo) == list(range(1, sym.p + 1))
-    fresh = critical_structure(sym)
-    assert warm == fresh and repr(warm) == repr(fresh)
+    fresh = critical_structure(_anew(sym))
+    assert warm == fresh and repr(warm) == repr(fresh) and fresh is not warm
     for k in range(1, sym.p + 1):
         keys, vals = warm.pair_memo[k]
         assert keys.dtype == np.int64 and vals.dtype == complex
@@ -287,12 +293,11 @@ def test_warm_memo_matches_fresh_solves(coeffs):
         _same_bits(vals, _fresh(sym, k, keys.view(float)))
         xs = _nodes(sym, k, levels=6)
         _same_bits(pair_minus(sym, k, xs, warm), _fresh(sym, k, xs))
-        _same_bits(s_density(sym, k, xs, warm), s_density(sym, k, xs, critical_structure(sym)))
-        _same_bits(rho_density(sym, k, xs, warm),
-                   rho_density(sym, k, xs, critical_structure(sym)))
+        _same_bits(s_density(sym, k, xs, warm), s_density(_anew(sym), k, xs))
+        _same_bits(rho_density(sym, k, xs, warm), rho_density(_anew(sym), k, xs))
     xs = _nodes(sym, 1, levels=6)
     for m in range(1, sym.p + 1):
-        _same_bits(mu_density(sym, m, xs, warm), mu_density(sym, m, xs, critical_structure(sym)))
+        _same_bits(mu_density(sym, m, xs, warm), mu_density(_anew(sym), m, xs))
 
 
 @pytest.mark.parametrize("coeffs, k", [((0.0, 7.0, 3.0), 1), ((0.0, 7.0, 3.0), 2),
@@ -353,7 +358,9 @@ def test_pair_minus_memo_keeps_fallback_rows(monkeypatch):
     assert fallback == [] and rows == []
 
 
-def test_pair_minus_memo_is_per_cut(can):
+def test_pair_minus_memo_is_per_cut():
+    # a symbol of its own: the session symbol's held memo is shared
+    can = build_symbol(2, (0.0, 7.0, 3.0))
     struct = critical_structure(can)
     x1, x2 = _nodes(can, 1, levels=3), _nodes(can, 2, levels=3)
     pair_minus(can, 1, x1, struct)
@@ -366,7 +373,8 @@ def test_pair_minus_memo_is_per_cut(can):
         _same_bits(struct.pair_memo[k][0], np.unique(x.view(np.int64)))
 
 
-def test_pair_minus_memo_keys_are_bit_patterns(cheb):
+def test_pair_minus_memo_keys_are_bit_patterns():
+    cheb = build_symbol(1, (0.0, 0.25))
     struct = critical_structure(cheb)
     pos = pair_minus(cheb, 1, np.array([0.0]), struct)
     neg = pair_minus(cheb, 1, np.array([-0.0]), struct)
@@ -376,3 +384,16 @@ def test_pair_minus_memo_keys_are_bit_patterns(cheb):
     _same_bits(pair_minus(cheb, 1, np.array([-0.0, 0.0, -0.0]), struct),
                np.concatenate([neg, pos, neg]))
     assert struct.pair_memo[1][0].size == 2
+
+
+def test_default_structure_solves_each_node_once(monkeypatch):
+    # build_system and s_1 without a structure passed reach the memo the
+    # symbol holds: every row solved is a distinct node stored there
+    sym = build_symbol(2, (0.0, 7.0, 3.0))
+    rows = _grid_rows(monkeypatch)
+    build_system(sym)
+    before = sum(rows)
+    assert integrate(s_measure(sym, 1)).value == pytest.approx(1.0, abs=1e-9)
+    memo = critical_structure(sym).pair_memo
+    assert before > 0
+    assert sum(rows) == sum(keys.size for keys, _ in memo.values())

@@ -103,17 +103,20 @@ def _interior(cut, m=13):
     return cut.finite_end - off if math.isinf(cut.lo) else cut.finite_end + off
 
 
-def test_densities_need_no_epsilon_schedule(cheb, can, monkeypatch):
-    # every node of a desk symbol is picked by the sign rule alone
+def test_densities_need_no_epsilon_schedule(monkeypatch):
+    # every node of a desk symbol is picked by the sign rule alone; the
+    # symbols are built here because a symbol holds its solved nodes, and
+    # the session ones would answer from that memo without solving
     def refuse(*args, **kwargs):
         raise AssertionError("boundary_values called")
 
     monkeypatch.setattr(branches, "boundary_values", refuse)
+    cheb, can = build_symbol(1, (0.0, 0.25)), build_symbol(2, (0.0, 7.0, 3.0))
     for sym in (cheb, can):
         struct = critical_structure(sym)
         for k in range(1, sym.p + 1):
             assert np.all(s_density(sym, k, _interior(struct.cut(k)), struct) > 0.0)
-    build_system(can, critical_structure(can))
+    build_system(can)
 
 
 @pytest.mark.parametrize("k", [-20, -24, -28, -32, -36])

@@ -180,11 +180,13 @@ def test_product_density_points_ignore_their_batch(can_sys):
     assert dens(xs).tobytes() == alone.tobytes()
 
 
-def test_product_rule_memory_is_bounded(can):
+def test_product_rule_memory_is_bounded():
     # freezing the product-measure rule must not scale with the kernel:
     # two fresh (points, nodes) temporaries per 512-point block trace at
-    # 35 MB here, the one bounded block buffer at about 3 MB
-    sys_ = build_system(can)
+    # 35 MB here, the one bounded block buffer at about 3 MB.  A symbol of
+    # its own, so the traced rule still solves its nodes: the session
+    # symbol holds them from earlier tests
+    sys_ = build_system(build_symbol(2, (0.0, 7.0, 3.0)))
     tracemalloc.start()
     try:
         sys_.sigma_rule(2)

@@ -144,16 +144,37 @@ def test_critical_structure_chebyshev(cheb_struct):
 def test_double_critical_point_refused(coeffs, shown):
     # r'(x) = 1 - 3/x^2 - 2/x^3 has the double root x = -1; the second
     # symbol is the first under z -> 1e10 z, its double point at -1e-10
+    sym = build_symbol(2, coeffs)
     with pytest.raises(MultipleCriticalPoints) as err:
-        critical_structure(build_symbol(2, coeffs))
+        critical_structure(sym)
     assert shown in str(err.value) and "-0." not in str(err.value)
+    with pytest.raises(MultipleCriticalPoints):  # a refusal is not held
+        critical_structure(sym)
 
 
 def test_complex_critical_points_refused():
     # r'(x) = 1 + 1/x^2 - 1/x^3: x^3 + x - 1 has one real root and a pair
+    sym = build_symbol(2, (0.0, -1.0, 0.5))
     with pytest.raises(ComplexCriticalPoints) as err:
-        critical_structure(build_symbol(2, (0.0, -1.0, 0.5)))
+        critical_structure(sym)
     assert "-0.341+1.16j" in str(err.value)
+    with pytest.raises(ComplexCriticalPoints):  # a refusal is not held
+        critical_structure(sym)
+
+
+@pytest.mark.parametrize("coeffs, orientation", [((0.0, 7.0, 3.0), "p_negative"),
+                                                 ((0.0, 7.0, -3.0), "p_positive")])
+def test_symbol_holds_its_structure(coeffs, orientation):
+    sym = build_symbol(2, coeffs)
+    struct = critical_structure(sym)
+    assert struct.orientation == orientation
+    assert critical_structure(sym) is struct
+    # an equal symbol built separately: equal structure, another object
+    twin = build_symbol(2, coeffs)
+    assert twin == sym and hash(twin) == hash(sym) and repr(twin) == repr(sym)
+    other = critical_structure(twin)
+    assert other == struct and other is not struct
+    assert other.pair_memo is not struct.pair_memo
 
 
 def test_cut_scale(can_struct):
