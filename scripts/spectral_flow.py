@@ -14,7 +14,6 @@ import numpy as np
 
 from symlab import (
     build_symbol,
-    build_system,
     counting_compare,
     critical_structure,
     gen_spectrum,
@@ -27,13 +26,12 @@ def main():
     nmax = int(sys.argv[1]) if len(sys.argv) > 1 else 24
     sym = build_symbol(2, (0.0, 7.0, 3.0))
     struct = critical_structure(sym)
-    sys_ = build_system(sym, struct)
     lam2 = struct.cut(2).finite_end
 
     print(f"# symbol (0,7,3), Gamma_2 = (-inf, {lam2}]")
     print(f"{'n':>4} {'count':>6} {'innermost':>12} {'outermost':>12} {'gap to cut':>11}")
     for n in range(6, nmax + 1, 2):
-        rep = gen_spectrum(sym, n, 1, struct=struct, sys=sys_)
+        rep = gen_spectrum(sym, n, 1)
         want = sum(multi_index(n, 2).components[1:]) - 1
         assert rep.roots.size == want, (n, rep.roots.size, want)
         gap = float(lam2 - rep.roots.max())
@@ -45,14 +43,14 @@ def main():
     window = (lam2 - 3.0 * struct.cut(1).scale(), lam2)
     print(f"\n# CDF distance to s_2 on window [{window[0]:.2f}, {window[1]:.2f}]")
     for n in (20, 40, 60):
-        rep = gen_spectrum(sym, n, 1, struct=struct, sys=sys_)
-        d = counting_compare(sym, rep.roots, 1, window=window, struct=struct)
+        rep = gen_spectrum(sym, n, 1)
+        d = counting_compare(sym, rep.roots, 1, window=window)
         print(f"{n:>4} {d:>10.4f}")
 
     print("\n# interlacing snapshot at n = 12")
     n = 12
-    zs = psi_zeros(sym, sys_, n, struct=struct)
-    rep = gen_spectrum(sym, n, 1, struct=struct, sys=sys_)
+    zs = psi_zeros(sym, None, n)
+    rep = gen_spectrum(sym, n, 1)
     merged = []
     for i, r in enumerate(rep.roots):
         merged.append(("psi", zs[i]))

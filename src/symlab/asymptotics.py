@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountMismatch, NearBranchPoint, OnCut, RootCountMismatch
-from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
+from .symbol import SymbolCoeffs, critical_structure
 from .branches import s_measure, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
 from .quadrature import build_fixed_rule, rule_apply
@@ -252,27 +252,28 @@ def _hausdorff(roots: np.ndarray, cut, samples: int = 512) -> float:
     return float(max(d_root, d_cut))
 
 
-def gen_spectrum(sym: SymbolCoeffs, n: int, k: int,
-                 struct: CriticalStructure | None = None,
-                 sys: NikishinSystem | None = None) -> SpectrumReport:
+def gen_spectrum(sym: SymbolCoeffs, n: int, k: int, struct=None,
+                 sys=None) -> SpectrumReport:
     """Real zeros of P_{n,k}(lam) = det(A_n - lam I with k rows/cols cut).
 
     k = 0 delegates to the exact zero finder for Q_n.  For k = 1 the
     zeros of Psi_{n,1} provide guaranteed brackets by interlacing, and
     the count N_{n,1} - 1 is enforced.  Larger k falls back to a scan
-    near Gamma_{k+1}.
+    near Gamma_{k+1}.  For n <= 2k no entry of the section holds lam, so
+    P_{n,k} is constant (1 on an empty section) and has no roots.
+
+    `struct` and `sys` are accepted and not read: `perfbench/worker.py`
+    still passes them, and ROADMAP item 4(a) deletes them.
     """
     if not 0 <= k <= sym.p - 1:
         raise ValueError("need 0 <= k <= p-1")
-    struct = struct or critical_structure(sym)
+    cut = critical_structure(sym).cut(k + 1)
     if k == 0:
-        roots = zeros_Q(sym, n, struct)
-        return SpectrumReport(k=0, n=n, roots=roots,
-                              hausdorff_to_cut=_hausdorff(roots, struct.cut(1)))
+        roots = zeros_Q(sym, n)
+        return SpectrumReport(k=0, n=n, roots=roots, hausdorff_to_cut=_hausdorff(roots, cut))
     det = ToeplitzSection(n=n - k, k=k, sym=sym).det
-    cut = struct.cut(k + 1)
     if k == 1:
-        psis = psi_zeros(sym, sys, n, struct=struct)
+        psis = psi_zeros(sym, None, n)
         # P_{n,1} has degree <= 0 for n <= 1: no roots, not -1 of them
         want = max(int(np.sum(multi_index(n, sym.p).components[1:])) - 1, 0)
         signs = np.sign(det(psis))
@@ -286,7 +287,7 @@ def gen_spectrum(sym: SymbolCoeffs, n: int, k: int,
         roots = np.sort(0.5 * (lo + hi))
     else:
         psis = None
-        roots = _scan_ray(det, cut, 1e-6 * cut.scale())
+        roots = _scan_ray(det, cut, 1e-6 * cut.scale()) if n > 2 * k else np.empty(0)
     return SpectrumReport(k=k, n=n, roots=roots,
                           hausdorff_to_cut=_hausdorff(roots, cut), psi_zeros=psis)
 
@@ -336,19 +337,20 @@ def _scan_ray(f, cut, inner: float, want: int | None = None,
 
 # ---- second-kind zeros and minors ----
 
-def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
-              struct: CriticalStructure | None = None) -> np.ndarray:
+def psi_zeros(sym: SymbolCoeffs, sys, n: int, struct=None) -> np.ndarray:
     """The N_{n,1} zeros of Psi_{n,1} on the second cut.
 
     Scans the rescaled Widom sum (branch powers over the tied pair
     modulus, tame for large n) from near _PSI_REACH (n + 1)^2 scale, as the
     outermost zero drifts out like n^2, doubling the radius until the count
     matches N_{n,1} and that zero sits well inside the scanned range.
+
+    `sys` and `struct` are accepted and not read: `perfbench/worker.py`
+    still passes them, and ROADMAP item 4(a) deletes them.
     """
     if sym.p < 2:
         raise ValueError("second-kind zeros need p >= 2")
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(2)
+    cut = critical_structure(sym).cut(2)
     want = int(np.sum(multi_index(n, sym.p).components[1:]))
     if want == 0:
         return np.array([])
@@ -364,7 +366,7 @@ def psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem | None, n: int,
                      per_call=4, reach=_PSI_REACH * (n + 1) ** 2 * cut.scale())
 
 
-def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) -> complex:
+def bnk(sys: NikishinSystem, n: int, k: int, lam: complex) -> complex:
     """det of the (k+1)x(k+1) minor [Q_{n-i}, Phi_{n-i,1..k}](lam).
 
     Phi_{m,j}(lam) = int Q_m dsigma_j / (lam - x) over the first cut.
@@ -372,6 +374,7 @@ def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) ->
     Q_n Phi_{n-1,1} - Q_{n-1} Phi_{n,1}.
     """
     lam = complex(lam)
+    sym = sys.sym
     seq = gen_Q(sym, max(n, 0))
     mat = np.zeros((k + 1, k + 1), dtype=complex)
     for i in range(k + 1):
@@ -392,16 +395,14 @@ def bnk(sym: SymbolCoeffs, sys: NikishinSystem, n: int, k: int, lam: complex) ->
 # ---- counting-measure comparison ----
 
 def counting_compare(sym: SymbolCoeffs, roots, k: int,
-                     window: tuple[float, float] | None = None,
-                     struct: CriticalStructure | None = None) -> float:
+                     window: tuple[float, float] | None = None) -> float:
     """Sup distance between the CDF of `roots` and the s_{k+1} CDF on a window.
 
     Both distributions are restricted to the window and renormalized.
     The limit CDF comes from the cumulative weights of a fine fixed rule
     for s_{k+1}, which resolves the endpoint singularities.
     """
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(k + 1)
+    cut = critical_structure(sym).cut(k + 1)
     if window is None:
         if cut.is_ray:
             e = cut.finite_end
@@ -414,7 +415,7 @@ def counting_compare(sym: SymbolCoeffs, roots, k: int,
     roots = np.sort(roots[(roots >= w0) & (roots <= w1)])
     if roots.size == 0:
         return 1.0
-    rule = build_fixed_rule(s_measure(sym, k + 1, struct), level=9)
+    rule = build_fixed_rule(s_measure(sym, k + 1), level=9)
     order = np.argsort(rule.x)
     xs = rule.x[order]
     cdf = np.cumsum(rule.w[order].real)

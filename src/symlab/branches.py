@@ -21,7 +21,8 @@ same z_{k-1,-}(x), and tanh-sinh nodes depend only on the cut, so
 `CriticalStructure`, keyed by the bit pattern of x (24 bytes per
 distinct node).  The symbol holds its one structure, so the memo lives
 as long as the symbol, and each node of a cut is solved once for the
-symbol whether or not a caller passes `struct`.
+symbol.  Every function here takes the symbol alone and fetches the
+structure with `critical_structure`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .quadrature import MeasureHandle
 from .rootfind import roots_batched
-from .symbol import CriticalStructure, Cut, SymbolCoeffs, _eval_a, _eval_da, critical_structure
+from .symbol import Cut, SymbolCoeffs, _eval_a, _eval_da, critical_structure
 
 @dataclass(frozen=True)
 class CutSample:
@@ -93,15 +94,9 @@ def _richardson(values: np.ndarray) -> np.ndarray:
     return rows[-1][-1]
 
 
-def boundary_values(
-    sym: SymbolCoeffs,
-    k: int,
-    x: float,
-    struct: CriticalStructure | None = None,
-) -> CutSample:
+def boundary_values(sym: SymbolCoeffs, k: int, x: float) -> CutSample:
     """Boundary values z_{k-1,+-}(x) for x strictly inside cut k."""
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(k)
+    cut = critical_structure(sym).cut(k)
     if not cut.contains_interior(float(x)):
         raise NotInCut(f"x = {x:.8g} is not interior to cut {k}")
     scale = max(1.0, abs(x))
@@ -125,23 +120,20 @@ def boundary_values(
 
 # ---- direct densities on cuts ----
 
-def pair_minus(
-    sym: SymbolCoeffs,
-    k: int,
-    xs: np.ndarray,
-    struct: CriticalStructure,
-) -> np.ndarray:
+def pair_minus(sym: SymbolCoeffs, k: int, xs: np.ndarray) -> np.ndarray:
     """z_{k-1,-}(x) on a grid inside cut k, each node solved once per symbol.
 
-    Values come from `struct.pair_memo[k]`; only nodes not yet there are
-    solved (`_solve_pair_minus`), in one batch, and merged in.  Keys are
-    the bit patterns of x, so a hit is exactly the node solved before
-    (0.0 and -0.0 are distinct, NaN never matches), and since a row's
-    roots do not depend on its batch the values are those of a fresh solve.
+    Values come from the `pair_memo[k]` of the symbol's structure; only
+    nodes not yet there are solved (`_solve_pair_minus`), in one batch,
+    and merged in.  Keys are the bit patterns of x, so a hit is exactly
+    the node solved before (0.0 and -0.0 are distinct, NaN never
+    matches), and since a row's roots do not depend on its batch the
+    values are those of a fresh solve.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     keys = xs.view(np.int64)
-    known, vals = struct.pair_memo.get(k, (keys[:0], np.empty(0, dtype=complex)))
+    memo = critical_structure(sym).pair_memo
+    known, vals = memo.get(k, (keys[:0], np.empty(0, dtype=complex)))
     pos = np.searchsorted(known, keys)
     hit = np.zeros(keys.size, dtype=bool)
     if known.size:
@@ -150,18 +142,13 @@ def pair_minus(
         new = np.unique(keys[~hit])
         at = np.searchsorted(known, new)
         known = np.insert(known, at, new)
-        vals = np.insert(vals, at, _solve_pair_minus(sym, k, new.view(float), struct))
-        struct.pair_memo[k] = (known, vals)
+        vals = np.insert(vals, at, _solve_pair_minus(sym, k, new.view(float)))
+        memo[k] = (known, vals)
         pos = np.searchsorted(known, keys)
     return vals[pos]
 
 
-def _solve_pair_minus(
-    sym: SymbolCoeffs,
-    k: int,
-    xs: np.ndarray,
-    struct: CriticalStructure,
-) -> np.ndarray:
+def _solve_pair_minus(sym: SymbolCoeffs, k: int, xs: np.ndarray) -> np.ndarray:
     """Solve z_{k-1,-}(x) via the conjugate-pair shortcut.
 
     At real x interior to cut k all branches are real except the tied
@@ -177,34 +164,33 @@ def _solve_pair_minus(
     bad = ~ok | (np.abs(zm.imag) == 0.0)
     if bad.any():
         for i in np.flatnonzero(bad):
-            zm[i] = boundary_values(sym, k, float(xs[i]), struct).z_minus
+            zm[i] = boundary_values(sym, k, float(xs[i])).z_minus
     return zm
 
 
-def s_density(sym: SymbolCoeffs, k: int, x, struct: CriticalStructure | None = None):
+def s_density(sym: SymbolCoeffs, k: int, x):
     """Density of s_k at x inside cut k: (1/pi) Im(z_{k-1,+}'/z_{k-1,+}).
 
     Branches 0..k-2 are real there and drop out of the imaginary part,
     so only the tied pair contributes.
     """
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(k)
+    cut = critical_structure(sym).cut(k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(cut.contains_interior(xs)):
         raise NotInCut(f"point outside interior of cut {k}")
-    zp = np.conj(pair_minus(sym, k, xs, struct))
+    zp = np.conj(pair_minus(sym, k, xs))
     out = (1.0 / _eval_da(sym, zp) / zp).imag / np.pi
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def rho_density(sym: SymbolCoeffs, j: int, x, struct: CriticalStructure | None = None):
+def rho_density(sym: SymbolCoeffs, j: int, x):
     """Density of the generator rho_j at x inside cut j."""
-    struct = struct or critical_structure(sym)
+    struct = critical_structure(sym)
     cut = struct.cut(j)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(cut.contains_interior(xs)):
         raise NotInCut(f"point outside interior of cut {j}")
-    zm = pair_minus(sym, j, xs, struct)
+    zm = pair_minus(sym, j, xs)
     if j == 1:
         out = zm.imag / np.pi
     else:
@@ -212,14 +198,17 @@ def rho_density(sym: SymbolCoeffs, j: int, x, struct: CriticalStructure | None =
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def s_measure(sym: SymbolCoeffs, k: int, struct: CriticalStructure | None = None) -> MeasureHandle:
-    """MeasureHandle for s_k; mass (p-k+1)/p, endpoint exponents -1/2."""
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(k)
+def s_measure(sym: SymbolCoeffs, k: int, struct=None) -> MeasureHandle:
+    """MeasureHandle for s_k; mass (p-k+1)/p, endpoint exponents -1/2.
+
+    `struct` is accepted and not read: `perfbench/worker.py` still passes
+    it, and ROADMAP item 4(a) deletes it.
+    """
+    cut = critical_structure(sym).cut(k)
     tail = None if not cut.is_ray else -1.0 - 1.0 / sym.p
 
     def dens(xs):
-        return s_density(sym, k, np.asarray(xs, dtype=float), struct)
+        return s_density(sym, k, np.asarray(xs, dtype=float))
 
     return MeasureHandle(
         cut=cut, density=dens, endpoint_exponents=(-0.5, -0.5),
@@ -227,15 +216,14 @@ def s_measure(sym: SymbolCoeffs, k: int, struct: CriticalStructure | None = None
     )
 
 
-def rho_measure(sym: SymbolCoeffs, j: int, struct: CriticalStructure | None = None) -> MeasureHandle:
+def rho_measure(sym: SymbolCoeffs, j: int) -> MeasureHandle:
     """MeasureHandle for rho_j: endpoint exponents +1/2 for j = 1 (it is mu_1's
     density), -1/2 for j >= 2, which also have infinite mass, tail 1/p - 1.
     """
-    struct = struct or critical_structure(sym)
-    cut = struct.cut(j)
+    cut = critical_structure(sym).cut(j)
 
     def dens(xs):
-        return rho_density(sym, j, np.asarray(xs, dtype=float), struct)
+        return rho_density(sym, j, np.asarray(xs, dtype=float))
 
     return MeasureHandle(
         cut=cut, density=dens, endpoint_exponents=(0.5, 0.5) if j == 1 else (-0.5, -0.5),

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMomentSystem, TailDivergence
-from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
+from .symbol import SymbolCoeffs, critical_structure
 from .branches import pair_minus, rho_measure
 from .quadrature import (
     FixedRule,
@@ -109,24 +109,21 @@ def product_measure(beta_j: MeasureHandle, beta_next: MeasureHandle) -> MeasureH
     )
 
 
-def mu_density(sym: SymbolCoeffs, k: int, x, struct: CriticalStructure | None = None):
+def mu_density(sym: SymbolCoeffs, k: int, x):
     """Density of mu_k on Gamma_1: Im(z_{0,-}(x)^k) / pi."""
-    struct = struct or critical_structure(sym)
     xa = np.asarray(x, dtype=float)
-    zm = pair_minus(sym, 1, np.atleast_1d(xa), struct)
+    zm = pair_minus(sym, 1, np.atleast_1d(xa))
     val = np.imag(zm**k) / np.pi
     return val.reshape(xa.shape) if xa.ndim else float(val[0])
 
 
-def _mu_measure(sym: SymbolCoeffs, k: int, struct: CriticalStructure) -> MeasureHandle:
-    cut = struct.cut(1)
-
+def _mu_measure(sym: SymbolCoeffs, k: int) -> MeasureHandle:
     def dens(xs):
-        return mu_density(sym, k, np.asarray(xs, dtype=float), struct)
+        return mu_density(sym, k, np.asarray(xs, dtype=float))
 
     return MeasureHandle(
-        cut=cut, density=dens, endpoint_exponents=(0.5, 0.5),
-        tail_exponent=None, name=f"mu_{k}",
+        cut=critical_structure(sym).cut(1), density=dens,
+        endpoint_exponents=(0.5, 0.5), tail_exponent=None, name=f"mu_{k}",
     )
 
 
@@ -139,10 +136,11 @@ class NikishinSystem:
     (1-based in the math, 0-based in the array).  The memo holds one
     frozen rule per weight (p sigma_j and p(p-1)/2 flat rules at most) and
     40 far-field moments of Psi_{n,1} per n, each built on first use.
+    The cuts are those of `critical_structure(sym)`; the symbol does not
+    hold its system, so dropping the symbol frees the chain at once.
     """
 
     sym: SymbolCoeffs
-    struct: CriticalStructure
     rho: list[MeasureHandle]
     sigma: list[MeasureHandle]
     c: np.ndarray
@@ -175,8 +173,7 @@ def _sigma_moment(sig: MeasureHandle, m: int) -> float:
     return float(np.real(res.value))
 
 
-def build_system(sym: SymbolCoeffs,
-                 struct: CriticalStructure | None = None) -> NikishinSystem:
+def build_system(sym: SymbolCoeffs) -> NikishinSystem:
     """Assemble rho, sigma, mu and the mixing constants for one symbol.
 
     The constants c_{j,k} solve the moment equations
@@ -185,10 +182,9 @@ def build_system(sym: SymbolCoeffs,
     band moment functionals.
     """
     p = sym.p
-    struct = struct or critical_structure(sym)
-    rho = [rho_measure(sym, j, struct) for j in range(1, p + 1)]
+    rho = [rho_measure(sym, j) for j in range(1, p + 1)]
     sigma = [_chain(rho, 1, k) for k in range(1, p + 1)]
-    mu = [_mu_measure(sym, k, struct) for k in range(1, p + 1)]
+    mu = [_mu_measure(sym, k) for k in range(1, p + 1)]
 
     # exact mu moments: the functional L_j acts as the j-th section row,
     # and mu_j = (L_j - L_{j-1}) as measures on Gamma_1
@@ -211,7 +207,7 @@ def build_system(sym: SymbolCoeffs,
                 f"moment system for c_{j},* has condition {np.linalg.cond(a):.2e}"
             )
         c[j - 1, : j - 1] = np.linalg.solve(a, rhs)
-    return NikishinSystem(sym=sym, struct=struct, rho=rho, sigma=sigma, c=c, mu=mu)
+    return NikishinSystem(sym=sym, rho=rho, sigma=sigma, c=c, mu=mu)
 
 
 # ---- frozen rules of the chain ----
@@ -229,11 +225,12 @@ def _flat_rule(sys: NikishinSystem, j: int, k: int) -> tuple[FixedRule, float]:
     def make():
         def dens(xs):
             xa = np.atleast_1d(np.asarray(xs, dtype=float))
-            return np.imag(pair_minus(sys.sym, j + 1, xa, sys.struct)) / np.pi
+            return np.imag(pair_minus(sys.sym, j + 1, xa)) / np.pi
 
         flat = MeasureHandle(
-            cut=sys.struct.cut(j + 1), density=dens, endpoint_exponents=(0.5, 0.5),
-            tail_exponent=1.0 / sys.sym.p, name=f"flat_rho_{j + 1}",
+            cut=critical_structure(sys.sym).cut(j + 1), density=dens,
+            endpoint_exponents=(0.5, 0.5), tail_exponent=1.0 / sys.sym.p,
+            name=f"flat_rho_{j + 1}",
         )
         if k > j + 1:
             flat = product_measure(flat, _chain(sys.rho, j + 2, k))
@@ -289,7 +286,7 @@ def _psi_at(sys: NikishinSystem, n: int, j: int, lam: np.ndarray) -> np.ndarray:
         t, w, psi = _psi_stage_values(sys, n, j - 1)
         return _cauchy_sum(flat, t, w * psi).reshape(lam.shape)
     rule = sys.sigma_rule(1)
-    lo, hi = sys.struct.cut(1).endpoints()
+    lo, hi = critical_structure(sys.sym).cut(1).endpoints()
     far = np.abs(flat) > 3.0 * max(abs(lo), abs(hi))
     out = np.empty(flat.shape, dtype=complex)
     if far.any():
@@ -347,8 +344,8 @@ def orthogonality_residual(sys: NikishinSystem, qn: np.ndarray, j: int,
     return abs(val), float((np.abs(rule.w) * fv).sum())
 
 
-def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
-                              j: int, k: int, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
+def orthogonality_second_kind(sys: NikishinSystem, n: int, j: int, k: int,
+                              nu_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(residuals, scales) of int x^nu Psi_{n,j}(x) (x - lam_{j+1}) drho_{j+1,k}(x),
     nu = 0..nu_max, from one evaluation of Psi_{n,j}.
 
@@ -356,10 +353,11 @@ def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
     nu = n_k - delta_j is the first live moment.  Each scale is
     int |x^nu Psi_{n,j}| |x - lam_{j+1}| d|rho_{j+1,k}|.
     """
-    if not (1 <= j <= sym.p - 1 and j + 1 <= k <= sym.p):
+    p = sys.sym.p
+    if not (1 <= j <= p - 1 and j + 1 <= k <= p):
         raise ValueError("need 1 <= j <= p-1 and j+1 <= k <= p")
     rule, tail = _flat_rule(sys, j, k)
-    decay = multi_index(n, sym.p).components[j - 1] + 2 - j
+    decay = multi_index(n, p).components[j - 1] + 2 - j
     if nu_max - decay + tail >= -1.0:
         raise TailDivergence(
             f"integrand tail degree {nu_max - decay + tail:.3f} is not integrable"
@@ -376,8 +374,7 @@ def orthogonality_second_kind(sym: SymbolCoeffs, sys: NikishinSystem, n: int,
     return residuals, scales
 
 
-def orthogonality_with_psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem,
-                                 n: int, nu: int,
+def orthogonality_with_psi_zeros(sys: NikishinSystem, n: int, nu: int,
                                  zeros: np.ndarray) -> tuple[float, float]:
     """(residual, scale) of int x^nu Q_n(x) drho_1(x) / Q_{n,2}(x).
 
@@ -386,7 +383,7 @@ def orthogonality_with_psi_zeros(sym: SymbolCoeffs, sys: NikishinSystem,
     nu < N_{n,1}.
     """
     rule = sys.sigma_rule(1)
-    q = eval_Q(sym, n, rule.x)
+    q = eval_Q(sys.sym, n, rule.x)
     den = np.prod(rule.x[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
     fv = rule.x**nu * q / den
     terms = rule.w * fv

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InterlacingViolation, NonFinite
 from .rootfind import bisect
-from .symbol import CriticalStructure, SymbolCoeffs, critical_structure
+from .symbol import Cut, SymbolCoeffs, critical_structure
 
 _BISECT_PER_CALL = 4  # bisection steps per recurrence pass; 3 ties, 2 and 6 are slower
 _SCALE_EXP = 500  # count mode keeps carried terms within 2^-500 .. 2^500
@@ -210,9 +210,8 @@ def _check_alternates(m: int, nodes: np.ndarray, signs: np.ndarray) -> None:
         )
 
 
-def _zeros(sym: SymbolCoeffs, degrees: range,
-           struct: CriticalStructure | None) -> list[np.ndarray]:
-    """Sorted zeros of Q_m inside Gamma_1 for each m in `degrees`.
+def _zeros(sym: SymbolCoeffs, degrees: range, g1: Cut) -> list[np.ndarray]:
+    """Sorted zeros of Q_m inside Gamma_1, the cut `g1`, for each m in `degrees`.
 
     The sign changes along Q_0(x), ..., Q_m(x) count the zeros of Q_m
     above x (interlacing makes each step add 0 or 1).  One count on a
@@ -226,8 +225,6 @@ def _zeros(sym: SymbolCoeffs, degrees: range,
     must then alternate strictly in sign at alpha, between consecutive
     zeros and at beta.
     """
-    struct = struct or critical_structure(sym)
-    g1 = struct.cut(1)
     ms = list(degrees)
     if not any(ms):
         return [np.empty(0) for _ in ms]
@@ -285,24 +282,20 @@ def _zeros(sym: SymbolCoeffs, degrees: range,
     return levels
 
 
-def zeros_Q(
-    sym: SymbolCoeffs,
-    n: int,
-    struct: CriticalStructure | None = None,
-) -> np.ndarray:
+def zeros_Q(sym: SymbolCoeffs, n: int, struct=None) -> np.ndarray:
     """Sorted zeros of Q_n inside Gamma_1, found without the lower levels:
     O(n^2) work by Sturm sign counts, at any scale.  `InterlacingViolation`
-    when the counts at the cut ends or the closing sign check disagree."""
+    when the counts at the cut ends or the closing sign check disagree.
+
+    `struct` is accepted and not read: `perfbench/worker.py` still passes
+    it, and ROADMAP item 4(a) deletes it.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    return _zeros(sym, range(n, n + 1), struct)[0]
+    return _zeros(sym, range(n, n + 1), critical_structure(sym).cut(1))[0]
 
 
-def zeros_Q_levels(
-    sym: SymbolCoeffs,
-    n: int,
-    struct: CriticalStructure | None = None,
-) -> list[np.ndarray]:
+def zeros_Q_levels(sym: SymbolCoeffs, n: int) -> list[np.ndarray]:
     """Sorted zeros of Q_1, ..., Q_n inside Gamma_1, index m - 1 for Q_m.
 
     Each level is bit for bit `zeros_Q(sym, m)`, found independently of
@@ -311,4 +304,4 @@ def zeros_Q_levels(
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    return _zeros(sym, range(1, n + 1), struct)
+    return _zeros(sym, range(1, n + 1), critical_structure(sym).cut(1))

@@ -218,9 +218,10 @@ def critical_structure(sym: SymbolCoeffs) -> CriticalStructure:
     """The symbol's critical structure, built on the first request.
 
     The symbol then holds it, and every later call returns that same
-    object, `pair_memo` included, so passing a structure around is
-    optional.  A refusal is not held: it is raised again on each call.
-    Equal symbols built separately hold separate structures.
+    object, `pair_memo` included, so a function that needs the structure
+    takes the symbol and fetches it here.  A refusal is not held: it is
+    raised again on each call.  Equal symbols built separately hold
+    separate structures.
     """
     if sym._structure is None:
         object.__setattr__(sym, "_structure", _solve_structure(sym))

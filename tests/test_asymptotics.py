@@ -125,10 +125,10 @@ def test_hp_error_order_refuses_bad_grid(can, grid, capfd):
     assert capfd.readouterr().err == ""
 
 
-def test_ratio_rate_resolves_every_probe(can, can_struct):
+def test_ratio_rate_resolves_every_probe(can):
     # at 60 digits the difference at this desk probe is exactly 0; 120 and
     # 240 digits agree on rate 0.0853177...
-    probe = _offcut_box(can_struct, 10, 0.5)[3]
+    probe = _offcut_box(can, 10, 0.5)[3]
     rate = ratio_rate(can, 1, [probe], 40)[0]
     assert rate == pytest.approx(0.08531770502229279, rel=1e-12)
 
@@ -174,10 +174,9 @@ def _oracle_fits(sym, n, j, lams):
 @given(data=st.data())
 def test_fits_match_mpmath_oracle(data):
     sym = _admissible_symbol(data.draw)
-    struct = critical_structure(sym)
     n = data.draw(st.integers(1, 8))
     grid = np.geomspace(1e3, 1e6, 10)
-    probes = _offcut_box(struct, 4, 0.05 * struct.cut(1).scale())
+    probes = _offcut_box(sym, 4, 0.05 * critical_structure(sym).cut(1).scale())
     for j in range(1, min(n, sym.p) + 1):
         logs, _ = _oracle_fits(sym, n, j, grid)
         want = np.polyfit(np.log10(grid), logs, 1)[0]
@@ -191,20 +190,20 @@ def test_ratio_rate_at_depth(can, cheb, n):
     # verify's bound at depth, where 60-digit arithmetic on the Q tables
     # reads noise (rates up to 0.999 at n = 300)
     for sym in (can, cheb):
-        struct = critical_structure(sym)
-        probes = _offcut_box(struct, 10, 0.5)
-        bound = np.abs([conformal_map(struct.cut(1), lam) for lam in probes]) + 0.02
+        probes = _offcut_box(sym, 10, 0.5)
+        g1 = critical_structure(sym).cut(1)
+        bound = np.abs([conformal_map(g1, lam) for lam in probes]) + 0.02
         for j in range(1, sym.p + 1):
             rates = ratio_rate(sym, j, probes, n)
             assert np.all(np.isfinite(rates)) and np.all(rates <= bound)
 
 
-def test_psi_zeros_frozen(can, can_sys):
-    zs6 = psi_zeros(can, can_sys, 6)
+def test_psi_zeros_frozen(can):
+    zs6 = psi_zeros(can, None, 6)
     np.testing.assert_allclose(
         zs6, [-81.68703885, -10.28337883, -5.57126475], atol=1e-6
     )
-    zs10 = psi_zeros(can, can_sys, 10)
+    zs10 = psi_zeros(can, None, 10)
     assert zs10.size == 5
     np.testing.assert_allclose(
         zs10,
@@ -213,10 +212,10 @@ def test_psi_zeros_frozen(can, can_sys):
     )
 
 
-def test_psi_zeros_count_matches_tail_index(can, can_sys):
+def test_psi_zeros_count_matches_tail_index(can):
     for n in (6, 8, 12):
         want = sum(multi_index(n, 2).components[1:])
-        assert psi_zeros(can, can_sys, n).size == want
+        assert psi_zeros(can, None, n).size == want
 
 
 # ---- the psi_zeros scan against the doubling loop it shortens ----
@@ -326,30 +325,30 @@ def test_gen_spectrum_k0_is_zeros(can):
     assert rep.k == 0 and rep.n == 6 and rep.psi_zeros is None
 
 
-def test_gen_spectrum_k1_frozen(can, can_struct, can_sys):
-    rep = gen_spectrum(can, 10, 1, struct=can_struct, sys=can_sys)
+def test_gen_spectrum_k1_frozen(can):
+    rep = gen_spectrum(can, 10, 1)
     np.testing.assert_allclose(
         rep.roots, [-42.21537375, -11.6480291, -6.55574882, -5.25703881], atol=1e-6
     )
     assert rep.hausdorff_to_cut == pytest.approx(15.2606823, abs=1e-5)
 
 
-def test_gen_spectrum_k1_count_and_interlace(can, can_struct, can_sys):
+def test_gen_spectrum_k1_count_and_interlace(can):
     for n in (10, 12):
-        rep = gen_spectrum(can, n, 1, struct=can_struct, sys=can_sys)
+        rep = gen_spectrum(can, n, 1)
         want = sum(multi_index(n, 2).components[1:]) - 1
         assert rep.roots.size == want
-        zs = psi_zeros(can, can_sys, n, struct=can_struct)
+        zs = psi_zeros(can, None, n)
         assert rep.psi_zeros.tobytes() == zs.tobytes()  # the brackets it used
         # each root sits strictly between consecutive second-kind zeros
         for i, r in enumerate(rep.roots):
             assert zs[i] < r < zs[i + 1]
 
 
-def test_gen_spectrum_k1_low_degree(can, can_struct, can_sys):
+def test_gen_spectrum_k1_low_degree(can):
     # N_{n,1} - 1 <= 0: P_{n,1} has degree <= 0 for n <= 1, and P_{2,1} = a_1
     for n in (0, 1, 2):
-        rep = gen_spectrum(can, n, 1, struct=can_struct, sys=can_sys)
+        rep = gen_spectrum(can, n, 1)
         assert rep.roots.size == 0
 
 
@@ -358,6 +357,20 @@ def test_gen_spectrum_k2_ray_scan():
     sym = build_symbol(3, (0.0, 9.99, 6.545, 0.74))
     rep = gen_spectrum(sym, 12, 2)
     np.testing.assert_allclose(rep.roots, [31.77227539, 104.71317973], atol=1e-6)
+
+
+def test_gen_spectrum_k2_constant_sections():
+    # for n <= 2k no entry of the size n - k section holds lambda: P_{n,2}
+    # is 1 on the empty sections (n <= 2), a_2 at n = 3 and a_2^2 - a_1 a_3
+    # at n = 4, so there are no roots; P_{5,2} is linear, one root
+    sym = build_symbol(3, (0.0, 9.99, 6.545, 0.74))
+    for n in range(5):
+        rep = gen_spectrum(sym, n, 2)
+        assert (rep.k, rep.n) == (2, n) and rep.roots.shape == (0,)
+        assert rep.hausdorff_to_cut == 0.0 and rep.psi_zeros is None
+    sec = ToeplitzSection(n=2, k=2, sym=sym)
+    assert sec.det(-7.0) == sec.det(300.0) == pytest.approx(6.545**2 - 9.99 * 0.74)
+    assert gen_spectrum(sym, 5, 2).roots.size == 1
 
 
 def test_first_shifted_section_is_constant(can):
@@ -398,29 +411,29 @@ def test_bnk_proportional_to_section(can, can_sys):
         sec = ToeplitzSection(n=n - 1, k=1, sym=can)
         vals = []
         for lam in (-12.0, -30.0, -7.5):
-            vals.append(bnk(can, can_sys, n, 1, lam) / sec.det(lam))
+            vals.append(bnk(can_sys, n, 1, lam) / sec.det(lam))
         vals = np.asarray(vals)
         np.testing.assert_allclose(vals, 1.0, rtol=1e-9)
 
 
-def test_orthogonality_second_kind_small(can, can_sys):
+def test_orthogonality_second_kind_small(can_sys):
     # integrals against the flat second-cut weight die for low powers
-    resid, scale = orthogonality_second_kind(can, can_sys, 6, 1, 2, 1)
+    resid, scale = orthogonality_second_kind(can_sys, 6, 1, 2, 1)
     assert resid.shape == scale.shape == (2,)
     assert np.all(resid < 1e-9 * scale)
 
 
-def test_orthogonality_second_kind_tail_divergence(can, can_sys):
+def test_orthogonality_second_kind_tail_divergence(can_sys):
     # at the balanced index the nu = n_2 probe integrand genuinely
     # diverges at infinity; the error is the contract, not a fallback
     with pytest.raises(TailDivergence):
-        orthogonality_second_kind(can, can_sys, 6, 1, 2, 3)
+        orthogonality_second_kind(can_sys, 6, 1, 2, 3)
 
 
 def test_orthogonality_with_psi_zeros(can, can_sys):
-    zeros = psi_zeros(can, can_sys, 6)
+    zeros = psi_zeros(can, None, 6)
     for nu in range(3):
-        resid, scale = orthogonality_with_psi_zeros(can, can_sys, 6, nu, zeros)
+        resid, scale = orthogonality_with_psi_zeros(can_sys, 6, nu, zeros)
         assert resid < 1e-10 * scale
 
 

@@ -6,7 +6,7 @@ row of a root solve, and each stacked determinant, does not depend on
 the rest of its batch.  Each test keeps the former one-call-per-piece
 code as its reference and compares bytes.  The same independence makes
 the `pair_minus` memo exact: its values are compared with direct solves
-on the structure of an equal symbol built anew.
+on an equal symbol built anew.
 """
 
 import math
@@ -52,18 +52,16 @@ def _same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _nodes(sym, k, levels=4, struct=None):
+def _nodes(sym, k, levels=4):
     """Tanh-sinh nodes of levels 0..levels-1 on cut k, as the densities meet them."""
-    struct = struct or critical_structure(sym)
-    piece = _pieces_for(s_measure(sym, k, struct))[0]
-    scale = struct.cut(k).scale()
+    piece = _pieces_for(s_measure(sym, k))[0]
+    scale = critical_structure(sym).cut(k).scale()
     return np.concatenate([piece.nodes(lv, scale)[0] for lv in range(levels)])
 
 
 def _cut_nodes(sym, levels=4):
     """Tanh-sinh nodes of every cut plus probes."""
-    struct = critical_structure(sym)
-    xs = [_nodes(sym, k, levels, struct) for k in range(1, sym.p + 1)]
+    xs = [_nodes(sym, k, levels) for k in range(1, sym.p + 1)]
     return np.concatenate([*xs, PROBES])
 
 
@@ -118,14 +116,13 @@ def _fixed_rule_reference(m, level):
     return x, w, coarse, logw, logx
 
 
-def _measures(can, can_struct, can_sys):
+def _measures(can, can_sys):
     # rho_1 on the interval, sigma_2 a product measure, s_2 on the ray
-    return [rho_measure(can, 1, can_struct), can_sys.sigma[1],
-            s_measure(can, 2, can_struct)]
+    return [rho_measure(can, 1), can_sys.sigma[1], s_measure(can, 2)]
 
 
-def test_fixed_rule_one_density_call(can, can_struct, can_sys):
-    for m in _measures(can, can_struct, can_sys):
+def test_fixed_rule_one_density_call(can, can_sys):
+    for m in _measures(can, can_sys):
         for level in (0, 3, 7):
             rule = build_fixed_rule(m, level=level)
             want = _fixed_rule_reference(m, level)
@@ -178,9 +175,9 @@ def _integrate_reference(m, f=None, f_tail_degree=0.0, max_level=10):
     return (value.real if abs(value.imag) == 0.0 else value), err, levels, evals
 
 
-def test_integrate_levels_0_to_2_in_one_call(can, can_struct, can_sys):
+def test_integrate_levels_0_to_2_in_one_call(can, can_sys):
     cases = [(None, 0.0), (lambda x: x * x, 2.0), (lambda x: 1.0 / (30.0 - x), -1.0)]
-    for m in _measures(can, can_struct, can_sys):
+    for m in _measures(can, can_sys):
         for f, deg in cases:
             for max_level in (1, 2, 10):  # fewer than three levels, exactly three, more
                 try:
@@ -240,9 +237,11 @@ def test_section_det_degenerate_sizes(can):
     _same_bits(ToeplitzSection(n=0, k=1, sym=can).det(np.array([1.0, 2.0])), np.ones(2))
 
 
-def test_check_cubic_reuses_the_suite_structure(can_struct):
+def test_check_cubic_reuses_the_suite_structure(can):
+    # on the suite symbol, whose structure holds branch values, and on the
+    # equal symbol that cubic_build makes anew
     params = CubicParams(-2.0, -1.0)
-    assert check_cubic(params, can_struct) == check_cubic(params)
+    assert check_cubic(params, can) == check_cubic(params)
 
 
 # ---- the pair_minus memo: each cut node solved once per symbol ----
@@ -253,9 +252,8 @@ def _anew(sym):
 
 
 def _fresh(sym, k, xs):
-    """z_{k-1,-}(x) solved directly on a new structure, no memo involved."""
-    return _solve_pair_minus(sym, k, np.asarray(xs, dtype=float),
-                             critical_structure(_anew(sym)))
+    """z_{k-1,-}(x) solved directly on an equal symbol, no memo involved."""
+    return _solve_pair_minus(_anew(sym), k, np.asarray(xs, dtype=float))
 
 
 def _grid_rows(monkeypatch):
@@ -276,12 +274,11 @@ def _grid_rows(monkeypatch):
 def test_warm_memo_matches_fresh_solves(coeffs):
     sym = build_symbol(len(coeffs) - 1, coeffs)
     warm = critical_structure(sym)
-    sys = build_system(sym, warm)
+    sys = build_system(sym)
     # every density the verify suite evaluates on a symbol's structure
-    checks = [check_mass(sym, warm), check_mu_moments(sym, sys),
-              check_orthogonality(sym, sys)]
+    checks = [check_mass(sym), check_mu_moments(sys), check_orthogonality(sys)]
     if sym.p >= 2:
-        checks.append(check_psi_p_closed_form(sym, sys))
+        checks.append(check_psi_p_closed_form(sys))
     assert all(c.passed for c in checks)
     assert sorted(warm.pair_memo) == list(range(1, sym.p + 1))
     fresh = critical_structure(_anew(sym))
@@ -292,12 +289,12 @@ def test_warm_memo_matches_fresh_solves(coeffs):
         assert np.all(np.diff(keys) > 0)
         _same_bits(vals, _fresh(sym, k, keys.view(float)))
         xs = _nodes(sym, k, levels=6)
-        _same_bits(pair_minus(sym, k, xs, warm), _fresh(sym, k, xs))
-        _same_bits(s_density(sym, k, xs, warm), s_density(_anew(sym), k, xs))
-        _same_bits(rho_density(sym, k, xs, warm), rho_density(_anew(sym), k, xs))
+        _same_bits(pair_minus(sym, k, xs), _fresh(sym, k, xs))
+        _same_bits(s_density(sym, k, xs), s_density(_anew(sym), k, xs))
+        _same_bits(rho_density(sym, k, xs), rho_density(_anew(sym), k, xs))
     xs = _nodes(sym, 1, levels=6)
     for m in range(1, sym.p + 1):
-        _same_bits(mu_density(sym, m, xs, warm), mu_density(_anew(sym), m, xs))
+        _same_bits(mu_density(sym, m, xs), mu_density(_anew(sym), m, xs))
 
 
 @pytest.mark.parametrize("coeffs, k", [((0.0, 7.0, 3.0), 1), ((0.0, 7.0, 3.0), 2),
@@ -320,13 +317,13 @@ def test_pair_minus_memo_on_overlapping_calls(coeffs, k, monkeypatch):
     for x in calls:
         want = _fresh(sym, k, x)
         rows.clear()
-        _same_bits(pair_minus(sym, k, x, struct), want)
+        _same_bits(pair_minus(sym, k, x), want)
         new = set(x.view(np.int64)) - seen
         assert sum(rows) == len(new)  # only the unique misses are solved
         seen |= new
         keys, _ = struct.pair_memo[k]
         assert set(keys) == seen and keys.size == len(seen)
-    assert pair_minus(sym, k, np.empty(0), struct).shape == (0,)
+    assert pair_minus(sym, k, np.empty(0)).shape == (0,)
 
 
 # Two level-5 tanh-sinh nodes on the ray cut 2 of a p = 3 symbol where the
@@ -337,24 +334,23 @@ FALLBACK_X = np.array([-6.102356660690293e+56, -3.8777070819507954e+58])
 
 def test_pair_minus_memo_keeps_fallback_rows(monkeypatch):
     sym = build_symbol(3, P3)
-    struct = critical_structure(sym)
-    xs = np.concatenate([_nodes(sym, 2, levels=2, struct=struct), FALLBACK_X])
+    xs = np.concatenate([_nodes(sym, 2, levels=2), FALLBACK_X])
     want = _fresh(sym, 2, xs)
     fallback = []
     orig = branches.boundary_values
 
-    def recorded(sym, k, x, struct=None):
+    def recorded(sym, k, x):
         fallback.append(x)
-        return orig(sym, k, x, struct)
+        return orig(sym, k, x)
 
     monkeypatch.setattr(branches, "boundary_values", recorded)
-    got = pair_minus(sym, 2, xs, struct)
+    got = pair_minus(sym, 2, xs)
     _same_bits(got, want)
     # the two fallback rows and nothing else: the pair's member is picked per node
     assert sorted(fallback) == sorted(FALLBACK_X)
     fallback.clear()
     rows = _grid_rows(monkeypatch)
-    _same_bits(pair_minus(sym, 2, xs[::-1], struct), got[::-1])
+    _same_bits(pair_minus(sym, 2, xs[::-1]), got[::-1])
     assert fallback == [] and rows == []
 
 
@@ -363,12 +359,12 @@ def test_pair_minus_memo_is_per_cut():
     can = build_symbol(2, (0.0, 7.0, 3.0))
     struct = critical_structure(can)
     x1, x2 = _nodes(can, 1, levels=3), _nodes(can, 2, levels=3)
-    pair_minus(can, 1, x1, struct)
+    pair_minus(can, 1, x1)
     # cut 1's values must not answer for cut 2: its nodes are not in cut 2
     with pytest.raises(NotInCut):
-        pair_minus(can, 2, x1[:4], struct)
+        pair_minus(can, 2, x1[:4])
     assert sorted(struct.pair_memo) == [1]  # a failed solve stores nothing
-    _same_bits(pair_minus(can, 2, x2, struct), _fresh(can, 2, x2))
+    _same_bits(pair_minus(can, 2, x2), _fresh(can, 2, x2))
     for k, x in ((1, x1), (2, x2)):
         _same_bits(struct.pair_memo[k][0], np.unique(x.view(np.int64)))
 
@@ -376,19 +372,19 @@ def test_pair_minus_memo_is_per_cut():
 def test_pair_minus_memo_keys_are_bit_patterns():
     cheb = build_symbol(1, (0.0, 0.25))
     struct = critical_structure(cheb)
-    pos = pair_minus(cheb, 1, np.array([0.0]), struct)
-    neg = pair_minus(cheb, 1, np.array([-0.0]), struct)
+    pos = pair_minus(cheb, 1, np.array([0.0]))
+    neg = pair_minus(cheb, 1, np.array([-0.0]))
     assert struct.pair_memo[1][0].size == 2  # -0.0 is a key of its own
     _same_bits(pos, _fresh(cheb, 1, [0.0]))
     _same_bits(neg, _fresh(cheb, 1, [-0.0]))
-    _same_bits(pair_minus(cheb, 1, np.array([-0.0, 0.0, -0.0]), struct),
+    _same_bits(pair_minus(cheb, 1, np.array([-0.0, 0.0, -0.0])),
                np.concatenate([neg, pos, neg]))
     assert struct.pair_memo[1][0].size == 2
 
 
 def test_default_structure_solves_each_node_once(monkeypatch):
-    # build_system and s_1 without a structure passed reach the memo the
-    # symbol holds: every row solved is a distinct node stored there
+    # build_system and s_1 reach the memo the symbol holds: every row
+    # solved is a distinct node stored there
     sym = build_symbol(2, (0.0, 7.0, 3.0))
     rows = _grid_rows(monkeypatch)
     build_system(sym)

@@ -51,24 +51,24 @@ def test_rho1_chebyshev_is_semicircle(cheb):
 def test_rho_density_positive_interior(can, can_struct):
     g1 = can_struct.cut(1)
     xs = np.linspace(g1.lo + 0.05, g1.hi - 0.05, 23)
-    assert np.all(rho_density(can, 1, xs, can_struct) > 0)
+    assert np.all(rho_density(can, 1, xs) > 0)
     ray = np.linspace(-25.0, -5.3, 17)
-    assert np.all(rho_density(can, 2, ray, can_struct) > 0)
+    assert np.all(rho_density(can, 2, ray) > 0)
 
 
-def test_s_density_values_frozen(can, can_struct):
+def test_s_density_values_frozen(can):
     # regression anchors on both cuts
-    assert s_density(can, 1, 0.0, can_struct) == pytest.approx(
+    assert s_density(can, 1, 0.0) == pytest.approx(
         0.05752211878186406, rel=1e-10
     )
-    assert s_density(can, 2, -6.0, can_struct) == pytest.approx(
+    assert s_density(can, 2, -6.0) == pytest.approx(
         0.06081720347395408, rel=1e-10
     )
 
 
-def test_boundary_values_conjugate_on_cut(can, can_struct):
+def test_boundary_values_conjugate_on_cut(can):
     # on Gamma_1 the two colliding branches are complex conjugates
-    bs = boundary_values(can, 1, 0.5, can_struct)
+    bs = boundary_values(can, 1, 0.5)
     assert bs.z_plus == pytest.approx(np.conj(bs.z_minus), abs=1e-10)
     assert abs(bs.z_plus.imag) > 1e-3
 
@@ -89,10 +89,9 @@ def test_pair_minus_matches_boundary(coeffs, k, xs):
     # its extrapolation carries up to 1.2e-15 of its own (P3 at -10, against
     # a 40-digit solve that puts pair_minus within 1.2e-16), hence 2e-15
     sym = build_symbol(len(coeffs) - 1, coeffs)
-    struct = critical_structure(sym)
-    zm = pair_minus(sym, k, np.array(xs), struct)
+    zm = pair_minus(sym, k, np.array(xs))
     for x, z in zip(xs, zm):
-        want = boundary_values(sym, k, x, struct).z_minus
+        want = boundary_values(sym, k, x).z_minus
         assert abs(z - want) <= 2e-15 * abs(want)
 
 
@@ -115,7 +114,7 @@ def test_densities_need_no_epsilon_schedule(monkeypatch):
     for sym in (cheb, can):
         struct = critical_structure(sym)
         for k in range(1, sym.p + 1):
-            assert np.all(s_density(sym, k, _interior(struct.cut(k)), struct) > 0.0)
+            assert np.all(s_density(sym, k, _interior(struct.cut(k))) > 0.0)
     build_system(can)
 
 
@@ -127,11 +126,10 @@ def test_s_density_scale_covariant(k):
     c = 2.0 ** k
     base = build_symbol(1, (0.0, 0.25))
     sym = build_symbol(1, (0.0 / c, 0.25 / c ** 2))
-    struct = critical_structure(sym)
     xs = np.linspace(-0.9, 0.9, 19)
-    got = s_density(sym, 1, xs / c, struct) / c
+    got = s_density(sym, 1, xs / c) / c
     np.testing.assert_array_max_ulp(got, s_density(base, 1, xs), maxulp=2)
-    build_system(sym, struct)
+    build_system(sym)
 
 
 def test_solve_grid_matches_pointwise(can):

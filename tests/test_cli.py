@@ -102,6 +102,17 @@ def test_spectrum_json(capsys):
     assert json.loads(out)["roots"] == []
 
 
+@pytest.mark.parametrize("n", ["0", "1", "2"])
+def test_spectrum_empty_section(n, capsys):
+    # P_{n,2} on a section of size n - 2 <= 0 is 1: no roots, exit 0
+    code, out, _ = run_cli(
+        ["spectrum", "--coeffs", "0,9.99,6.545,0.74", "--n", n, "--k", "2"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["roots"] == [] and doc["hausdorff_to_cut"] == 0.0
+
+
 def test_spectrum_p3(capsys):
     # P_{20,1} of a p = 3 symbol: N_{20,1} - 1 = 12 roots on the ray
     # Gamma_2 = (-inf, -5.4704], counted and interlaced with the Psi_{20,1} zeros

@@ -47,12 +47,12 @@ def test_cubic_z0_refuses_branch_point():
 def test_cubic_densities_match_generic(can, can_struct):
     g1 = can_struct.cut(1)
     xs = np.linspace(g1.lo + 0.02, g1.hi - 0.02, 31)
-    want = rho_density(can, 1, xs, can_struct)
+    want = rho_density(can, 1, xs)
     got = np.array([cubic_rho1_density(PARAMS, float(x)) for x in xs])
     np.testing.assert_allclose(got, want, atol=1e-10)
 
     ray = np.linspace(-40.0, -5.2, 25)
-    want2 = rho_density(can, 2, ray, can_struct)
+    want2 = rho_density(can, 2, ray)
     got2 = np.array([cubic_rho2_density(PARAMS, float(x)) for x in ray])
     np.testing.assert_allclose(got2, want2, atol=1e-10)
 

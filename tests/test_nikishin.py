@@ -10,6 +10,7 @@ import pytest
 from symlab import (
     build_symbol,
     build_system,
+    critical_structure,
     eval_Q,
     gen_Q,
     integrate,
@@ -66,15 +67,15 @@ def test_mu2_low_moments(can_sys):
     assert got.value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_mu_density_is_imag_power(can, can_struct):
+def test_mu_density_is_imag_power(can):
     # mu_k density is Im(z_minus^k)/pi on the first cut
     from symlab import pair_minus
 
     xs = np.array([-1.0, 0.5, 2.0])
-    zm = pair_minus(can, 1, xs, can_struct)
+    zm = pair_minus(can, 1, xs)
     for k in (1, 2):
         np.testing.assert_allclose(
-            mu_density(can, k, xs, can_struct), np.imag(zm**k) / np.pi, rtol=1e-12
+            mu_density(can, k, xs), np.imag(zm**k) / np.pi, rtol=1e-12
         )
 
 
@@ -90,8 +91,9 @@ def test_build_system_reuses_given_structure(name, request):
     sym = request.getfixturevalue(name)
     struct = request.getfixturevalue(f"{name}_struct")
     own = request.getfixturevalue(f"{name}_sys")
-    shared = build_system(sym, struct)
-    assert shared.struct is struct
+    # a second system reads the structure the symbol holds, the fixture's
+    shared = build_system(sym)
+    assert shared is not own and critical_structure(shared.sym) is struct
     assert np.array_equal(shared.c, own.c)
     g1 = struct.cut(1)
     xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
@@ -148,7 +150,7 @@ def _kernel_inputs(can_sys, path):
     """(lam, t, wf) of the real product-measure path or the complex Psi path."""
     if path == "real":  # sigma_2's density on Gamma_1 against the rho_2 rule
         rule = build_fixed_rule(can_sys.rho[1], level=8)
-        g1 = can_sys.struct.cut(1)
+        g1 = critical_structure(can_sys.sym).cut(1)
         return np.linspace(g1.lo, g1.hi, 52)[1:-1], rule.x, rule.w
     t, w, psi = _psi_stage_values(can_sys, 4, 1)  # the stage of Psi_{4,2}
     rng = np.random.default_rng(7)
@@ -173,7 +175,7 @@ def test_cauchy_sum_ignores_its_blocking(can_sys, path, monkeypatch):
 def test_product_density_points_ignore_their_batch(can_sys):
     # the real kernel path: more points than one kernel block, each
     # evaluated alone against all at once
-    g1 = can_sys.struct.cut(1)
+    g1 = critical_structure(can_sys.sym).cut(1)
     xs = np.linspace(g1.lo, g1.hi, 1002)[1:-1]
     dens = can_sys.sigma[1].density
     alone = np.array([dens(x) for x in xs])
@@ -246,7 +248,7 @@ def test_psi_values_level_range(can_sys):
         psi_values(can_sys, 5, 3, np.array([2.5 + 0j]))
 
 
-def test_chain_pinned_bits(can, can_sys):
+def test_chain_pinned_bits(can_sys):
     # sha256 of values read off the frozen chain rules; a last-bit drift in
     # the sigma_1 (= rho_1), flat rho_2 or product-measure rules changes them.
     # The probes sit near and far from both cuts, so Psi_{n,1} takes both its
@@ -258,10 +260,10 @@ def test_chain_pinned_bits(can, can_sys):
         for j in (1, 2):
             h.update(psi_values(can_sys, n, j, probes).tobytes())
     assert h.hexdigest() == "5591a9eaea3760d9a7d37aa9f05342dfdffc693c0961887c11e72acbb73766c8"
-    resid, scale = orthogonality_second_kind(can, can_sys, 7, 1, 2, 1)
+    resid, scale = orthogonality_second_kind(can_sys, 7, 1, 2, 1)
     assert hashlib.sha256(resid.tobytes() + scale.tobytes()).hexdigest() == (
         "4d066e3e58f91c30aad30f8c147b0d6c93ed3bd8d4b7bf69d2ff8a7b5bfe469f")
-    g1 = can_sys.struct.cut(1)
+    g1 = critical_structure(can_sys.sym).cut(1)
     xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
     assert hashlib.sha256(can_sys.sigma[1].density(xs).tobytes()).hexdigest() == (
         "4b59354da303cdf221e5062204ee4d3fac73f2a1becec5646d24a8ea48ab6405")
@@ -270,13 +272,13 @@ def test_chain_pinned_bits(can, can_sys):
 def test_flat_rule_matches_rho2_times_linear_factor(can, can_sys):
     # oracle: the flat weight (x - lam_2) rho_2'(x) frozen straight from
     # rho_2's density, against the rule built from Im z_{1,-}/pi
-    lam2 = can_sys.struct.lam[1]
+    lam2 = critical_structure(can).lam[1]
 
     def dens(x):
-        return (x - lam2) * rho_density(can, 2, x, can_sys.struct)
+        return (x - lam2) * rho_density(can, 2, x)
 
     oracle = build_fixed_rule(MeasureHandle(
-        cut=can_sys.struct.cut(2), density=dens, endpoint_exponents=(0.5, 0.5),
+        cut=critical_structure(can).cut(2), density=dens, endpoint_exponents=(0.5, 0.5),
         tail_exponent=0.5), level=7)
     rule, tail = _flat_rule(can_sys, 1, 2)
     assert tail == 0.5
@@ -285,11 +287,11 @@ def test_flat_rule_matches_rho2_times_linear_factor(can, can_sys):
 
 
 def test_rho1_vanishes_like_a_square_root(can, can_struct):
-    assert rho_measure(can, 1, can_struct).endpoint_exponents == (0.5, 0.5)
-    assert rho_measure(can, 2, can_struct).endpoint_exponents == (-0.5, -0.5)
+    assert rho_measure(can, 1).endpoint_exponents == (0.5, 0.5)
+    assert rho_measure(can, 2).endpoint_exponents == (-0.5, -0.5)
     lam1 = can_struct.cut(1).lo
     es = np.array([1e-6, 1e-8, 1e-10])
-    ratio = rho_density(can, 1, lam1 + es, can_struct) / np.sqrt(es)
+    ratio = rho_density(can, 1, lam1 + es) / np.sqrt(es)
     # 0.142352 to six decimals at every offset: the density is sqrt-like
     np.testing.assert_allclose(ratio, 0.142352, rtol=0, atol=1e-6)
 

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ from symlab import (
 )
 from symlab.cubic import CubicParams, cubic_build
 from symlab.errors import InterlacingViolation
+from symlab.polyseq import _zeros
 from symlab.symbol import Cut, critical_structure
 from symlab.verify import check_zeros
 
@@ -143,11 +143,10 @@ def test_zeros_chebyshev_closed_form(cheb):
 def test_zeros_levels_match_zeros_Q(can, cheb, small):
     # every level of the ladder is bit for bit the single-degree finder's
     for sym in (cheb, can, small, build_symbol(3, (0.0, 9.99, 6.545, 0.74))):
-        struct = critical_structure(sym)
-        levels = zeros_Q_levels(sym, 41, struct)
+        levels = zeros_Q_levels(sym, 41)
         assert len(levels) == 41
         for m, zs in enumerate(levels, start=1):
-            assert zs.tobytes() == zeros_Q(sym, m, struct).tobytes()
+            assert zs.tobytes() == zeros_Q(sym, m).tobytes()
 
 
 def test_zeros_levels_scale_covariant(can):
@@ -159,9 +158,8 @@ def test_zeros_levels_scale_covariant(can):
     for k in (24, 28):
         c = 2.0**k
         sym = build_symbol(2, (0.0, 7.0 * c**2, 3.0 * c**3))
-        struct = critical_structure(sym)
-        assert check_zeros(sym, struct).passed
-        for got, want in zip(zeros_Q_levels(sym, 41, struct), base, strict=True):
+        assert check_zeros(sym).passed
+        for got, want in zip(zeros_Q_levels(sym, 41), base, strict=True):
             assert got.tobytes() == (c * want).tobytes()
 
 
@@ -242,9 +240,8 @@ def _certify(sym, n, zs, cut) -> int:
 )
 def test_zeros_Q_cubic_certified(s, rho, n):
     sym, _ = cubic_build(CubicParams(x1=-s * rho, x2=-s))
-    struct = critical_structure(sym)
-    g1 = struct.cut(1)
-    zs = zeros_Q(sym, n, struct)
+    g1 = critical_structure(sym).cut(1)
+    zs = zeros_Q(sym, n)
     assert zs.size == n and _certify(sym, n, zs, g1) <= 16
     # Q_n alternates in sign at the cut ends and between its zeros
     checks = np.concatenate(([g1.lo], 0.5 * (zs[:-1] + zs[1:]), [g1.hi]))
@@ -258,31 +255,30 @@ def test_zeros_Q_degree_zero_is_empty(can):
     assert zeros_Q_levels(can, 0) == []
 
 
-def test_zeros_refuse_negative_degree(cheb_struct):
+def test_zeros_refuse_negative_degree():
     # refused before any structure is built: this symbol has none
     imaginary = build_symbol(1, (0.0, -0.25))
     for find in (zeros_Q, zeros_Q_levels):
-        for struct in (None, cheb_struct):
-            with pytest.raises(ValueError, match="need n >= 0"):
-                find(imaginary, -1, struct)
+        with pytest.raises(ValueError, match="need n >= 0"):
+            find(imaginary, -1)
 
 
 def test_zeros_levels_raise_on_broken_bracket(cheb, cheb_struct):
     # on [-0.9, 0.9] the counts hold up to Q_5; cos(pi/7) > 0.9, so Q_6 has
     # a zero below -0.9: the sign count sees it at the cut end, for one
-    # degree and for the ladder alike
-    narrow = replace(cheb_struct, cuts=(Cut(1, -0.9, 0.9),))
-    assert [zs.size for zs in zeros_Q_levels(cheb, 5, narrow)] == [1, 2, 3, 4, 5]
-    assert zeros_Q(cheb, 5, narrow).size == 5
-    for find in (zeros_Q, zeros_Q_levels):
+    # degree (zeros_Q's call) and for the ladder (zeros_Q_levels') alike
+    narrow = Cut(1, -0.9, 0.9)
+    assert [zs.size for zs in _zeros(cheb, range(1, 6), narrow)] == [1, 2, 3, 4, 5]
+    assert _zeros(cheb, range(5, 6), narrow)[0].size == 5
+    for degrees in (range(6, 7), range(1, 11)):
         with pytest.raises(InterlacingViolation,
                            match="Q_0..Q_6 change sign 5 times at cut end -0.9, not 6"):
-            find(cheb, 6 if find is zeros_Q else 10, narrow)
+            _zeros(cheb, degrees, narrow)
     # a_1 < 0: the zeros of Q_4 are imaginary, yet Q_0..Q_4 change sign 4
     # times at -1 and never at 1, so only the closing sign check sees it
     imaginary = build_symbol(1, (0.0, -0.25))
     with pytest.raises(InterlacingViolation, match="Q_4 does not change sign"):
-        zeros_Q(imaginary, 4, cheb_struct)
+        _zeros(imaginary, range(4, 5), cheb_struct.cut(1))
 
 
 def test_zeros_canonical_frozen(can):
@@ -295,7 +291,7 @@ def test_zeros_inside_cut_and_interlace(can, can_struct):
     g1 = can_struct.cut(1)
     # each level is found on its own, so interlacing compares independent
     # results
-    prev, *levels = zeros_Q_levels(can, 25, can_struct)
+    prev, *levels = zeros_Q_levels(can, 25)
     for n, zs in enumerate(levels, start=2):
         assert zs.size == n
         assert np.all(np.diff(zs) > 0)

@@ -88,7 +88,7 @@ def test_cauchy_transform_semicircle(cheb):
         assert got == pytest.approx(2.0 * small, rel=1e-9)
 
 
-def test_cauchy_transform_near_ray(can, can_struct):
+def test_cauchy_transform_near_ray(can):
     # the log-derivative identity z_k'/z_k + hat s_k - hat s_{k+1} = 0 within
     # 1e-3 of the ray Gamma_2 = (-inf, -5], where the near-cut path sums a
     # ray on one side of its local window and an interval on the other
@@ -96,7 +96,7 @@ def test_cauchy_transform_near_ray(can, can_struct):
     z = solve_grid(can, lams)
     s_hat = np.zeros((4, lams.size), dtype=complex)
     for i in (1, 2):
-        m = s_measure(can, i, can_struct)
+        m = s_measure(can, i)
         s_hat[i] = [-cauchy_transform(m, lam) for lam in lams]
     log_deriv = (1.0 / eval_symbol(can, z)[2] / z).T
     assert np.abs(log_deriv + s_hat[:-1] - s_hat[1:]).max() < 1e-8
