@@ -256,17 +256,20 @@ def _fresh(sym, k, xs):
     return _solve_pair_minus(_anew(sym), k, np.asarray(xs, dtype=float))
 
 
-def _grid_rows(monkeypatch):
-    """Count the real-lambda rows branches.solve_grid is asked to solve."""
+def _solved_rows(monkeypatch):
+    """Count the nodes pair_minus hands to branches._solve_pair_minus.
+
+    Every node solved goes there, whether its end chart or the full
+    solve_grid route answers it.
+    """
     rows = []
-    orig = branches.solve_grid
+    orig = branches._solve_pair_minus
 
-    def counted(sym, lams):
-        if np.isrealobj(lams):  # boundary_values passes complex x - i eps
-            rows.append(np.size(lams))
-        return orig(sym, lams)
+    def counted(sym, k, xs):
+        rows.append(np.size(xs))
+        return orig(sym, k, xs)
 
-    monkeypatch.setattr(branches, "solve_grid", counted)
+    monkeypatch.setattr(branches, "_solve_pair_minus", counted)
     return rows
 
 
@@ -312,7 +315,7 @@ def test_pair_minus_memo_on_overlapping_calls(coeffs, k, monkeypatch):
         np.repeat(xs[::5], 3),               # repeats
         np.concatenate([xs[::-7], xs[:3]]),  # reversed, repeated across calls
     ]
-    rows = _grid_rows(monkeypatch)
+    rows = _solved_rows(monkeypatch)
     seen = set()
     for x in calls:
         want = _fresh(sym, k, x)
@@ -349,7 +352,7 @@ def test_pair_minus_memo_keeps_fallback_rows(monkeypatch):
     # the two fallback rows and nothing else: the pair's member is picked per node
     assert sorted(fallback) == sorted(FALLBACK_X)
     fallback.clear()
-    rows = _grid_rows(monkeypatch)
+    rows = _solved_rows(monkeypatch)
     _same_bits(pair_minus(sym, 2, xs[::-1]), got[::-1])
     assert fallback == [] and rows == []
 
@@ -386,7 +389,7 @@ def test_default_structure_solves_each_node_once(monkeypatch):
     # build_system and s_1 reach the memo the symbol holds: every row
     # solved is a distinct node stored there
     sym = build_symbol(2, (0.0, 7.0, 3.0))
-    rows = _grid_rows(monkeypatch)
+    rows = _solved_rows(monkeypatch)
     build_system(sym)
     before = sum(rows)
     assert integrate(s_measure(sym, 1)).value == pytest.approx(1.0, abs=1e-9)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from symlab import (
     s_density,
     solve_grid,
 )
+from symlab.errors import NotInCut
 
 
 def test_chebyshev_branches_at_two(cheb):
@@ -118,18 +120,69 @@ def test_densities_need_no_epsilon_schedule(monkeypatch):
     build_system(can)
 
 
-@pytest.mark.parametrize("k", [-20, -24, -28, -32, -36])
+@pytest.mark.parametrize("k", [-36, -32, -28, -24, -20, -8, 8, 16, 24])
 def test_s_density_scale_covariant(k):
     # z -> cz divides every lambda by c and multiplies the density by c;
-    # at |x| near 1 the pair sits by a square-root branch point and the solve
-    # reads a few ulps apart at any scale (8 at k = 16), so |x| <= 0.9 here
+    # inside the cut the solve reads at most 2 ulps apart at any scale, and
+    # next to the ends at +-1, where the pair sits by a square-root branch
+    # point, the end's chart reads the same value at any scale
     c = 2.0 ** k
     base = build_symbol(1, (0.0, 0.25))
     sym = build_symbol(1, (0.0 / c, 0.25 / c ** 2))
     xs = np.linspace(-0.9, 0.9, 19)
     got = s_density(sym, 1, xs / c) / c
     np.testing.assert_array_max_ulp(got, s_density(base, 1, xs), maxulp=2)
+    near = np.array([1 - 1e-4, 1 - 1e-7, 1 - 1e-10, -1 + 1e-12])
+    got = s_density(sym, 1, near / c) / c
+    np.testing.assert_allclose(got, s_density(base, 1, near), rtol=1e-14, atol=0)
     build_system(sym)
+
+
+def _mp_s_density(sym, x):
+    """|Im 1/(z a'(z))|/pi at the non-real pair of t(a(t) - x), in 60 digits."""
+    with mp.workdps(60):
+        a = [mp.mpf(v) for v in sym.a]
+        coeffs = [*reversed(a[1:]), a[0] - mp.mpf(x), mp.mpf(1)]  # high to low
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        z = max(roots, key=lambda r: abs(mp.im(r)))
+        da = sum(j * a[j] * z ** (j - 1) for j in range(1, sym.p + 1)) - 1 / z ** 2
+        return float(abs(mp.im(1 / (z * da))) / mp.pi)
+
+
+# the cut ends of the desk symbols that are exact floats, and the way in
+ENDS = [((0.0, 7.0, 3.0), 1, -4.75, 1.0), ((0.0, 7.0, 3.0), 2, -5.0, -1.0),
+        ((0.0, 0.25), 1, -1.0, 1.0), ((0.0, 0.25), 1, 1.0, -1.0)]
+
+
+@pytest.mark.parametrize("coeffs, k, e, inward", ENDS)
+def test_s_density_at_cut_ends_matches_mpmath(coeffs, k, e, inward):
+    # the pair is a near-double root there, solved in the end's chart; the
+    # stored end is the true one, so the density holds to about eps
+    sym = build_symbol(len(coeffs) - 1, coeffs)
+    assert e in critical_structure(sym).cut(k).endpoints()
+    for d in (1e-2, 1e-5, 1e-8, 1e-11, 1e-13):
+        x = e + inward * d * abs(e)
+        want = _mp_s_density(sym, x)
+        assert s_density(sym, k, x) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_chart_rows_fall_through_to_the_full_solve(monkeypatch):
+    # a row the end's chart does not settle takes the full solve, as if it
+    # had never been charted
+    xs = np.concatenate([1.0 - np.geomspace(1e-12, 1e-2, 6), [0.5, -0.999]])
+    monkeypatch.setattr(branches, "_CHART_REACH", 0.0)
+    uncharted = branches._solve_pair_minus(build_symbol(1, (0.0, 0.25)), 1, xs)
+    monkeypatch.undo()
+    monkeypatch.setattr(branches, "_CHART_ITER", 0)
+    failed = branches._solve_pair_minus(build_symbol(1, (0.0, 0.25)), 1, xs)
+    assert failed.tobytes() == uncharted.tobytes()
+    monkeypatch.undo()
+    # just outside the cut the pair is real: the chart refuses it, and so
+    # does the full solve
+    cheb = build_symbol(1, (0.0, 0.25))
+    with pytest.raises(NotInCut):
+        pair_minus(cheb, 1, np.array([1.0 + 1e-3]))
+    assert critical_structure(cheb).pair_memo == {}
 
 
 def test_solve_grid_matches_pointwise(can):

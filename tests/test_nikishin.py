@@ -115,10 +115,11 @@ def test_c_matrix(can_sys):
 
 
 def test_s_masses(can, cheb):
-    # counting measures have mass (p - k + 1)/p
-    assert integrate(s_measure(cheb, 1)).value == pytest.approx(1.0, abs=1e-9)
-    assert integrate(s_measure(can, 1)).value == pytest.approx(1.0, abs=1e-9)
-    assert integrate(s_measure(can, 2)).value == pytest.approx(0.5, abs=1e-6)
+    # counting measures have mass (p - k + 1)/p; the densities are accurate
+    # up to the cut ends (their charts), so the masses hold to about eps
+    assert integrate(s_measure(cheb, 1)).value == pytest.approx(1.0, abs=1e-14)
+    assert integrate(s_measure(can, 1)).value == pytest.approx(1.0, abs=1e-14)
+    assert integrate(s_measure(can, 2)).value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_orthogonality_residuals_vanish(can, can_sys):
@@ -259,14 +260,14 @@ def test_chain_pinned_bits(can_sys):
     for n in range(9):
         for j in (1, 2):
             h.update(psi_values(can_sys, n, j, probes).tobytes())
-    assert h.hexdigest() == "5591a9eaea3760d9a7d37aa9f05342dfdffc693c0961887c11e72acbb73766c8"
+    assert h.hexdigest() == "48f1b18bd6ae50a09f0f014ff60ec534f3373459129551065ff1db626229ec55"
     resid, scale = orthogonality_second_kind(can_sys, 7, 1, 2, 1)
     assert hashlib.sha256(resid.tobytes() + scale.tobytes()).hexdigest() == (
-        "4d066e3e58f91c30aad30f8c147b0d6c93ed3bd8d4b7bf69d2ff8a7b5bfe469f")
+        "4503ca374f418c3513e4ebb452fdb365636ce3cc803250fa828fbbcd0f550992")
     g1 = critical_structure(can_sys.sym).cut(1)
     xs = np.linspace(g1.lo, g1.hi, 11)[1:-1]
     assert hashlib.sha256(can_sys.sigma[1].density(xs).tobytes()).hexdigest() == (
-        "4b59354da303cdf221e5062204ee4d3fac73f2a1becec5646d24a8ea48ab6405")
+        "9a9de63b5fe9e9f75ac10e22b311a7927252a7e3a34875a1236761101571145f")
 
 
 def test_flat_rule_matches_rho2_times_linear_factor(can, can_sys):
