@@ -33,14 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountMismatch, NearBranchPoint, OnCut, RootCountMismatch
-from .symbol import SymbolCoeffs, critical_structure
+from .symbol import SymbolCoeffs, _eval_da, critical_structure
 from .branches import s_measure, solve_grid
 from .polyseq import eval_Q, gen_Q, multi_index, zeros_Q
 from .quadrature import build_fixed_rule, rule_apply
-from .rootfind import bisect
+from .rootfind import newton_bracketed
 from .nikishin import NikishinSystem
 
 _PSI_REACH = 0.15  # outermost Psi_{n,1} zero / ((n+1)^2 scale): 0.18-0.39 at p = 2, even n
+_LATTICE = 90  # ray scan points per decade of distance from the finite end
 
 
 # ---- Widom closed forms ----
@@ -226,6 +227,26 @@ class ToeplitzSection:
             return out.reshape(lams.shape)
         return float(out[0].real) if np.isrealobj(out) else complex(out[0])
 
+    def det_step(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sign of P, P/P') at a 1-d array of lambda, blocked as in `det`.
+
+        By Jacobi's formula P'/P = tr(M^-1 dM/dlam) = -sum_i (M^-1)_{i+k,i}.
+        The sign comes from slogdet and never from exp(logdet), which
+        overflows at large n; a singular matrix has sign 0 and step 0.
+        """
+        sign = np.empty(lams.shape, dtype=np.result_type(float, lams))
+        step = np.zeros_like(sign)
+        block = max(1, 2 ** 20 // max(self.n, 1) ** 2)
+        for s in range(0, lams.size, block):
+            mats = self._stack(lams[s : s + block])
+            sign[s : s + block], _ = np.linalg.slogdet(mats)
+            live = np.flatnonzero(sign[s : s + block] != 0.0)
+            # stacked inv raises if any matrix of the stack is singular
+            trace = np.trace(np.linalg.inv(mats[live]), offset=-self.k, axis1=1, axis2=2)
+            with np.errstate(divide="ignore"):  # P' = 0: an infinite step
+                step[s + live] = -1.0 / trace
+        return sign, step
+
 
 @dataclass
 class SpectrumReport:
@@ -258,9 +279,11 @@ def gen_spectrum(sym: SymbolCoeffs, n: int, k: int, struct=None,
 
     k = 0 delegates to the exact zero finder for Q_n.  For k = 1 the
     zeros of Psi_{n,1} provide guaranteed brackets by interlacing, and
-    the count N_{n,1} - 1 is enforced.  Larger k falls back to a scan
-    near Gamma_{k+1}.  For n <= 2k no entry of the section holds lam, so
-    P_{n,k} is constant (1 on an empty section) and has no roots.
+    the count N_{n,1} - 1 is enforced.  Larger k falls back to the ray
+    scan of Gamma_{k+1} (`_scan_ray`).  Either way each bracket is closed
+    by `newton_bracketed` on the Jacobi step of `ToeplitzSection.det_step`.
+    For n <= 2k no entry of the section holds lam, so P_{n,k} is constant
+    (1 on an empty section) and has no roots.
 
     `struct` and `sys` are accepted and not read: `perfbench/worker.py`
     still passes them, and ROADMAP item 4(a) deletes them.
@@ -271,79 +294,100 @@ def gen_spectrum(sym: SymbolCoeffs, n: int, k: int, struct=None,
     if k == 0:
         roots = zeros_Q(sym, n)
         return SpectrumReport(k=0, n=n, roots=roots, hausdorff_to_cut=_hausdorff(roots, cut))
-    det = ToeplitzSection(n=n - k, k=k, sym=sym).det
+    sec = ToeplitzSection(n=n - k, k=k, sym=sym)
     if k == 1:
         psis = psi_zeros(sym, None, n)
         # P_{n,1} has degree <= 0 for n <= 1: no roots, not -1 of them
         want = max(int(np.sum(multi_index(n, sym.p).components[1:])) - 1, 0)
-        signs = np.sign(det(psis))
+        signs, _ = sec.det_step(psis)
         changes = signs[:-1] * signs[1:] < 0.0
         if not np.all(changes) or changes.size != want:
             raise RootCountMismatch(
                 f"expected {want} sign changes between the {psis.size} "
                 f"second-type zeros, found {int(np.sum(changes))}"
             )
-        lo, hi = bisect(det, psis[:-1], psis[1:], signs[:-1], 60)
-        roots = np.sort(0.5 * (lo + hi))
+        roots = np.sort(newton_bracketed(sec.det_step, psis[:-1], psis[1:], signs[:-1]))
     else:
         psis = None
-        roots = _scan_ray(det, cut, 1e-6 * cut.scale()) if n > 2 * k else np.empty(0)
+        roots = (_scan_ray(sec.det, sec.det_step, cut, 1e-6 * cut.scale())
+                 if n > 2 * k else np.empty(0))
     return SpectrumReport(k=k, n=n, roots=roots,
                           hausdorff_to_cut=_hausdorff(roots, cut), psi_zeros=psis)
 
 
-def _ray_grid(cut, inner: float, outer: float, m: int) -> np.ndarray:
-    # log-spaced offsets, outermost point first; roots cluster toward the
-    # branch point like 1/n^2 while the outermost ones drift out like n^2,
-    # so no single linear grid can resolve both ends at once
-    e = cut.finite_end
-    off = np.geomspace(outer, inner, m)
-    return e - off if math.isinf(cut.lo) else e + off
+def _scan_ray(f, fdf, cut, inner: float, want: int | None = None,
+              reach: float = 0.0) -> np.ndarray:
+    """Sorted roots of a vectorized f on a ray cut.
 
-
-def _grid_size(inner: float, outer: float) -> int:
-    return min(3200, max(600, 90 * int(math.log10(outer / inner) + 1)))
-
-
-def _scan_ray(f, cut, inner: float, want: int | None = None,
-              per_call: int = 1, reach: float = 0.0) -> np.ndarray:
-    """Sorted sign-change roots of a vectorized f on a ray cut.
-
-    Scans a log grid from `inner` out to R = 4 scale 2^j, from the first
-    j with 0.8 R >= `reach`, doubling R until the outermost sign change
-    sits inside 0.8 R (and, when `want` is given, exactly `want` changes
-    are seen), then bisects each bracket, `per_call` steps per call of f.
-    A result stands if its outermost bracket starts past 0.8 R' for each
-    skipped R', whose scan would fail (missing that root or bracketing it
-    past 0.8 R'); else the scan restarts at the first R' not so covered.
+    The scan points form one log lattice, at distances inner 10^(j/90),
+    j = 0, 1, ..., from the finite end: roots cluster toward the branch
+    point like 1/n^2 while the outermost ones drift out like n^2, so no
+    linear grid resolves both ends.  f signs the lattice out to the first
+    point at or past R = max(reach, 4 scale).  While the outermost sign
+    change is not inside 0.8 R (or, when `want` is given, fewer than
+    `want` changes are seen), R doubles and f signs only the new points.
+    So each lattice point is signed once, and the brackets do not depend
+    on where R started.  Each is closed by `newton_bracketed` on
+    fdf(x) = (f, f/f').  `CountMismatch` when more than `want` changes
+    are seen, or when none settle within 24 radii.
     """
-    radii = 4.0 * cut.scale() * 2.0 ** np.arange(24)
-    first = min(int(np.searchsorted(0.8 * radii, reach)), radii.size - 1)
-    for outer in radii[first:]:
-        grid = _ray_grid(cut, inner, outer, _grid_size(inner, outer))
-        signs = np.sign(f(grid))
+    toward = -1.0 if math.isinf(cut.lo) else 1.0
+    outer = max(reach, 4.0 * cut.scale())
+    xs, signs = np.empty(0), np.empty(0)
+    for _ in range(24):
+        j = np.arange(xs.size, math.ceil(_LATTICE * math.log10(outer / inner)) + 1)
+        new = cut.finite_end + toward * (inner * 10.0 ** (j / _LATTICE))
+        xs, signs = np.concatenate((xs, new)), np.concatenate((signs, np.sign(f(new))))
         idx = np.flatnonzero(signs[:-1] * signs[1:] < 0)
         if want is not None and idx.size > want:
             raise CountMismatch(f"found {idx.size} zeros, expected {want}")
-        inside = idx.size > 0 and abs(grid[idx[0]] - cut.finite_end) < 0.8 * outer
+        inside = idx.size > 0 and abs(xs[idx[-1] + 1] - cut.finite_end) < 0.8 * outer
         if inside and (want is None or idx.size == want):
-            near = abs(grid[idx[0] + 1] - cut.finite_end)
-            if first and near < 0.8 * radii[first - 1]:
-                return _scan_ray(f, cut, inner, want, per_call, reach=near)
-            lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60, per_call)
-            return np.sort(0.5 * (lo + hi))
+            return np.sort(newton_bracketed(fdf, xs[idx], xs[idx + 1], signs[idx]))
+        outer *= 2.0
     raise CountMismatch(f"roots on Gamma_{cut.index} did not stabilize")
 
 
 # ---- second-kind zeros and minors ----
 
+def _psi_scaled(sym: SymbolCoeffs, n: int):
+    """Psi_{n,1} over |z_1|^{n+1} on real lambda: (value, Newton step) functions.
+
+    The scaling keeps branch powers tame at large n.  The step is Psi/Psi',
+    in which the scaling cancels: with t_j the terms of the Widom sum and
+    z_j' = 1/a'(z_j) from the same solve, d t_j / d lam = t_j L_j where
+    L_j = -(n+1) z_j'/z_j - sum_{k != j} (z_k' - z_j')/(z_k - z_j).
+    """
+    pref = _prefactor(sym)
+
+    def terms(xs: np.ndarray):
+        z = solve_grid(sym, np.asarray(xs, dtype=float))
+        powers = (np.abs(z[:, 1:2]) / z[:, 1:]) ** (n + 1)
+        return z, powers, _widom_terms(z, 1, powers)
+
+    def value(xs: np.ndarray) -> np.ndarray:
+        return (pref * terms(xs)[2]).real
+
+    def value_step(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z, powers, total = terms(xs)
+        sub = z[:, 1:]
+        dsub = 1.0 / _eval_da(sym, sub)
+        # (z_k' - z_j') / (z_k - z_j) at [row, j, k], 0 on the diagonal
+        dz, dd = sub[:, None, :] - sub[:, :, None], dsub[:, None, :] - dsub[:, :, None]
+        np.einsum("ijj->ij", dz)[:] = 1.0
+        slopes = -(n + 1) * dsub / sub - (dd / dz).sum(axis=2)
+        return (pref * total).real, (total / _widom_terms(z, 1, powers * slopes)).real
+
+    return value, value_step
+
+
 def psi_zeros(sym: SymbolCoeffs, sys, n: int, struct=None) -> np.ndarray:
     """The N_{n,1} zeros of Psi_{n,1} on the second cut.
 
-    Scans the rescaled Widom sum (branch powers over the tied pair
-    modulus, tame for large n) from near _PSI_REACH (n + 1)^2 scale, as the
-    outermost zero drifts out like n^2, doubling the radius until the count
-    matches N_{n,1} and that zero sits well inside the scanned range.
+    Runs the ray scan (`_scan_ray`) on the rescaled Widom sum from the
+    reach _PSI_REACH (n + 1)^2 scale, as the outermost zero drifts out like
+    n^2, until the count matches N_{n,1} and that zero sits well inside
+    the scanned range; the brackets close by Newton on Psi/Psi'.
 
     `sys` and `struct` are accepted and not read: `perfbench/worker.py`
     still passes them, and ROADMAP item 4(a) deletes them.
@@ -354,16 +398,9 @@ def psi_zeros(sym: SymbolCoeffs, sys, n: int, struct=None) -> np.ndarray:
     want = int(np.sum(multi_index(n, sym.p).components[1:]))
     if want == 0:
         return np.array([])
-    pref = _prefactor(sym)
-
-    def scaled(xs: np.ndarray) -> np.ndarray:
-        z = solve_grid(sym, np.asarray(xs, dtype=float))
-        powers = (np.abs(z[:, 1:2]) / z[:, 1:]) ** (n + 1)
-        return (pref * _widom_terms(z, 1, powers)).real
-
-    # four steps per root solve: its cost is per call more than per row
-    return _scan_ray(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want,
-                     per_call=4, reach=_PSI_REACH * (n + 1) ** 2 * cut.scale())
+    value, value_step = _psi_scaled(sym, n)
+    return _scan_ray(value, value_step, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want,
+                     reach=_PSI_REACH * (n + 1) ** 2 * cut.scale())
 
 
 def bnk(sys: NikishinSystem, n: int, k: int, lam: complex) -> complex:

@@ -25,11 +25,13 @@ from symlab import (
     bnk,
 )
 from symlab import asymptotics
-from symlab.asymptotics import ToeplitzSection, _grid_size, _prefactor, _ray_grid, _widom_terms
+from symlab.asymptotics import (
+    _LATTICE, ToeplitzSection, _prefactor, _psi_scaled, _scan_ray, _widom_terms,
+)
 from symlab.branches import solve_grid
 from symlab.cubic import CubicParams, cubic_build
-from symlab.errors import DivisionBlowup, NearBranchPoint, OnCut, TailDivergence
-from symlab.rootfind import bisect
+from symlab.errors import CountMismatch, DivisionBlowup, NearBranchPoint, OnCut, TailDivergence
+from symlab.rootfind import newton_bracketed
 from symlab.verify import _offcut_box
 
 PROBES = [10 + 5j, -20 + 3j, 2 - 8j, -9 - 2j]
@@ -218,20 +220,22 @@ def test_psi_zeros_count_matches_tail_index(can):
         assert psi_zeros(can, None, n).size == want
 
 
-# ---- the psi_zeros scan against the doubling loop it shortens ----
+# ---- the psi_zeros scan against the doubling scan from the smallest radius ----
 
-def _doubling_scan(f, cut, inner, want, per_call):
-    """The ray scan as it was: every radius 4 scale 2^j, from j = 0."""
+def _doubling_scan(f, fdf, cut, inner, want):
+    """The ray scan from reach 0: radii 4 scale 2^j from j = 0, each one's
+    lattice signed afresh, the brackets closed by the same refiner."""
     outer = 4.0 * cut.scale()
+    toward = -1.0 if math.isinf(cut.lo) else 1.0
     for _ in range(24):
-        grid = _ray_grid(cut, inner, outer, _grid_size(inner, outer))
-        signs = np.sign(f(grid))
+        j = np.arange(math.ceil(_LATTICE * math.log10(outer / inner)) + 1)
+        xs = cut.finite_end + toward * (inner * 10.0 ** (j / _LATTICE))
+        signs = np.sign(f(xs))
         idx = np.flatnonzero(signs[:-1] * signs[1:] < 0)
         assert idx.size <= want, f"found {idx.size} zeros, expected {want}"
-        inside = idx.size > 0 and abs(grid[idx[0]] - cut.finite_end) < 0.8 * outer
+        inside = idx.size > 0 and abs(xs[idx[-1] + 1] - cut.finite_end) < 0.8 * outer
         if inside and idx.size == want:
-            lo, hi = bisect(f, grid[idx], grid[idx + 1], signs[idx], 60, per_call)
-            return np.sort(0.5 * (lo + hi))
+            return np.sort(newton_bracketed(fdf, xs[idx], xs[idx + 1], signs[idx]))
         outer *= 2.0
     pytest.fail("the doubling scan did not stabilize")
 
@@ -241,36 +245,45 @@ def _psi_zeros_reference(sym, n):
     want = int(np.sum(multi_index(n, sym.p).components[1:]))
     if want == 0:
         return np.array([])
+    value, value_step = _psi_scaled(sym, n)
+    return _doubling_scan(value, value_step, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want)
 
-    def scaled(xs):
-        z = asymptotics.solve_grid(sym, np.asarray(xs, dtype=float))
-        powers = (np.abs(z[:, 1:2]) / z[:, 1:]) ** (n + 1)
-        return (_prefactor(sym) * _widom_terms(z, 1, powers)).real
 
-    return _doubling_scan(scaled, cut, 1e-3 * cut.scale() / (n + 1) ** 2, want, 4)
+@pytest.fixture(scope="module")
+def solve_memo():
+    return {}
 
 
 @pytest.fixture
-def shared_solves(monkeypatch):
-    """Branch solves memoised by input bytes, for psi_zeros and the reference.
+def shared_solves(monkeypatch, solve_memo):
+    """Branch solves memoised row by row, by symbol and lambda bytes.
 
     A row's roots do not depend on its batch, so a hit returns the bytes a
-    fresh solve would; the reference then pays only for the radii that
-    psi_zeros skips.  Returns the list of 1-d (grid) call sizes.
+    fresh solve would; the reference scans, and later tests on the same
+    symbols, pay only for the rows not yet solved.  Returns the list of
+    every lambda array asked for.
     """
-    memo, grids = {}, []
+    solved = []
 
     def solve(sym, lams):
-        lams = np.asarray(lams)
-        if lams.ndim == 1:
-            grids.append(lams.size)
-        key = (sym.a, lams.tobytes())
-        if key not in memo:
-            memo[key] = solve_grid(sym, lams)
-        return memo[key]
+        lams = np.asarray(lams).ravel()
+        solved.append(lams)
+        keys = [(sym.a, lam.tobytes()) for lam in lams]
+        miss = [i for i, key in enumerate(keys) if key not in solve_memo]
+        if miss:
+            for i, row in zip(miss, solve_grid(sym, lams[miss])):
+                solve_memo[keys[i]] = row
+        return np.array([solve_memo[key] for key in keys]).reshape(lams.size, sym.p + 1)
 
     monkeypatch.setattr(asymptotics, "solve_grid", solve)
-    return grids
+    return solved
+
+
+def _solved_once(solved):
+    """The number of lambda solved, after checking that none was solved twice."""
+    lams = np.concatenate(solved) if solved else np.empty(0)
+    assert np.unique(lams).size == lams.size
+    return lams.size
 
 
 def _cubic16():
@@ -280,11 +293,12 @@ def _cubic16():
 
 
 P3_SYMBOLS = [(0.0, 9.99, 6.545, 0.74), (-14.1648, 446.5721, 58.0789, 0.1686)]
+CERTIFIED = ([((0.0, 7.0, 3.0), range(1, 61))]
+             + [(a, (4, 20, 60)) for a in _cubic16()]
+             + [(a, (20,)) for a in P3_SYMBOLS])
 
 
-@pytest.mark.parametrize("a, ns", [((0.0, 7.0, 3.0), range(1, 61))]
-                         + [(a, (4, 20, 60)) for a in _cubic16()]
-                         + [(a, (20,)) for a in P3_SYMBOLS])
+@pytest.mark.parametrize("a, ns", CERTIFIED)
 def test_psi_zeros_match_doubling_scan(a, ns, shared_solves):
     sym = build_symbol(len(a) - 1, a)
     for n in ns:
@@ -293,30 +307,122 @@ def test_psi_zeros_match_doubling_scan(a, ns, shared_solves):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_psi_zeros_over_prediction_rescans(can, shared_solves, monkeypatch):
-    # a reach 10-20 times the true one starts past radii the certificate
-    # cannot cover: the scan must come back down and still match
+def test_psi_zeros_over_prediction_changes_no_bit(can, shared_solves, monkeypatch):
+    # a reach 10-20 times the true one starts the scan past the outermost
+    # zero: the lattice is the same, so are the brackets, and nothing rescans
     monkeypatch.setattr(asymptotics, "_PSI_REACH", 4.0)
-    outers = []
-
-    def ray_grid(cut, inner, outer, m):
-        outers.append(outer)
-        return _ray_grid(cut, inner, outer, m)
-
-    monkeypatch.setattr(asymptotics, "_ray_grid", ray_grid)
     sym2 = build_symbol(2, _cubic16()[5])
     for sym, n in ((can, 6), (can, 20), (can, 60), (sym2, 20)):
-        outers.clear()
+        shared_solves.clear()
         got = psi_zeros(sym, None, n)
-        assert any(b < a for a, b in zip(outers, outers[1:]))  # a rescan ran
+        _solved_once(shared_solves)
         assert got.tobytes() == _psi_zeros_reference(sym, n).tobytes()
 
 
-@pytest.mark.parametrize("n", [20, 40, 60])
-def test_psi_zeros_builds_at_most_two_grids(can, n, shared_solves):
-    # the doubling loop builds 7, 9 and 10 grids here
-    psi_zeros(can, None, n)
-    assert 1 <= len(shared_solves) <= 2
+@pytest.mark.parametrize("a, n, rows", [
+    ((0.0, 7.0, 3.0), 20, 800),
+    ((0.0, 7.0, 3.0), 21, 750),  # odd n: the outermost zero lies far inside the reach
+    ((0.0, 7.0, 3.0), 40, 950),
+    ((0.0, 7.0, 3.0), 60, 1075),
+    # the reach falls three decades short: ten doublings, 27 new points each
+    ((-14.1648, 446.5721, 58.0789, 0.1686), 20, 1075),
+], ids=["can-20", "can-21", "can-40", "can-60", "p3-20"])
+def test_psi_zeros_solves_each_point_once(a, n, rows, shared_solves):
+    # scan and Newton rows together; a fresh grid per radius and bisection
+    # solved 3,780, 3,690, 6,210, 8,550 and 12,555 rows here
+    psi_zeros(build_symbol(len(a) - 1, a), None, n)
+    assert _solved_once(shared_solves) <= rows
+
+
+def _changes_sign_around(f, roots, ulps=8):
+    """Per root r, whether f has opposite signs at r - k and r + k ulps for
+    some k <= ulps: a sign change within `ulps` either side, which rounding
+    noise in f cannot fake at every k at once."""
+    left, right = [roots], [roots]
+    for _ in range(ulps):
+        left.append(np.nextafter(left[-1], -np.inf))
+        right.append(np.nextafter(right[-1], np.inf))
+    signs = np.sign(f(np.concatenate(left[1:] + right[1:]))).reshape(2, ulps, -1)
+    return np.any(signs[0] * signs[1] < 0, axis=0)
+
+
+@pytest.mark.parametrize("a, ns", CERTIFIED)
+def test_roots_change_sign_within_8_ulps(a, ns, shared_solves):
+    # every Psi_{n,1} zero and every P_{n,1} root between them; the worst
+    # need 5 and 3 ulps, bisection's needed 4 and 2
+    sym = build_symbol(len(a) - 1, a)
+    for n in ns:
+        value, _ = _psi_scaled(sym, n)
+        zs = psi_zeros(sym, None, n)
+        assert np.all(_changes_sign_around(value, zs)), n
+        rep = gen_spectrum(sym, n, 1)
+        sign = lambda x: ToeplitzSection(n=n - 1, k=1, sym=sym).det_step(x)[0]
+        assert np.all(_changes_sign_around(sign, rep.roots)), n
+
+
+def test_gen_spectrum_k1_where_determinants_overflow(can):
+    # (0,7,3) with lambda scaled by 2^26: 7 of the 10 determinants at the
+    # Psi_{20,1} zeros overflow, while the roots are those of (0,7,3) scaled
+    c = 2.0 ** -26
+    sym = build_symbol(2, (0.0, 7.0 / c**2, 3.0 / c**3))
+    rep = gen_spectrum(sym, 20, 1)
+    with np.errstate(over="ignore"):
+        dets = ToeplitzSection(n=19, k=1, sym=sym).det(rep.psi_zeros)
+    assert 0 < np.sum(np.isinf(dets)) < dets.size
+    assert rep.roots.size == sum(multi_index(20, 2).components[1:]) - 1
+    assert np.all((rep.psi_zeros[:-1] < rep.roots) & (rep.roots < rep.psi_zeros[1:]))
+    np.testing.assert_allclose(rep.roots * c, gen_spectrum(can, 20, 1).roots, rtol=1e-14)
+
+
+def test_det_step_is_the_jacobi_ratio(can):
+    # P/P' against a central difference of log|P|, at points off the roots
+    sec = ToeplitzSection(n=9, k=1, sym=can)
+    lams = np.array([-80.0, -30.0, -9.0, -6.0])
+    sign, step = sec.det_step(lams)
+    h = 1e-6 * np.abs(lams)
+    dlog = (np.log(np.abs(sec.det(lams + h))) - np.log(np.abs(sec.det(lams - h)))) / (2 * h)
+    np.testing.assert_array_equal(sign, np.sign(sec.det(lams)))
+    np.testing.assert_allclose(1.0 / step, dlog, rtol=1e-7)
+
+
+# ---- the scan's refusals, on a synthetic f ----
+
+def _line(roots):
+    """f(x) = prod (x - r) on a real array, with its Newton step."""
+    roots = np.asarray(roots)
+
+    def f(x):
+        return np.prod(x[:, None] - roots, axis=1)
+
+    def fdf(x):
+        with np.errstate(divide="ignore"):  # at a root: step 0
+            return f(x), 1.0 / np.sum(1.0 / (x[:, None] - roots), axis=1)
+
+    return f, fdf
+
+
+def test_scan_ray_finds_the_synthetic_roots(can_struct):
+    cut = can_struct.cut(2)  # the ray (-inf, -4.75]
+    e = cut.finite_end
+    want = np.array([e - 310.0, e - 2.1, e - 1.3e-3])  # none on the lattice
+    f, fdf = _line(want)
+    got = _scan_ray(f, fdf, cut, 1e-6, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+
+
+def test_scan_ray_refuses_too_many_changes(can_struct):
+    cut = can_struct.cut(2)
+    f, fdf = _line(cut.finite_end - np.array([1.1, 2.1, 3.1]))
+    with pytest.raises(CountMismatch, match="found 3 zeros, expected 2"):
+        _scan_ray(f, fdf, cut, 1e-6, 2)
+
+
+def test_scan_ray_refuses_a_count_that_never_settles(can_struct):
+    # two zeros where three are wanted: no radius ever shows the count
+    cut = can_struct.cut(2)
+    f, fdf = _line(cut.finite_end - np.array([1.1, 2.1]))
+    with pytest.raises(CountMismatch, match="did not stabilize"):
+        _scan_ray(f, fdf, cut, 1e-6, 3)
 
 
 def test_gen_spectrum_k0_is_zeros(can):

@@ -7,7 +7,7 @@ from symlab import critical_structure, rootfind
 from symlab.branches import solve_grid
 from symlab.cubic import CubicParams, cubic_build
 from symlab.errors import ConvergenceFailure
-from symlab.rootfind import _seed, bisect, roots_batched
+from symlab.rootfind import _seed, bisect, newton_bracketed, roots_batched
 
 
 def _run(f, lo, hi, steps, per_call):
@@ -77,6 +77,80 @@ def test_per_call_must_divide_steps():
     lo, hi = np.array([0.0]), np.array([3.0])
     with pytest.raises(ValueError, match="does not divide"):
         bisect(np.cos, lo, hi, np.sign(np.cos(lo)), 48, per_call=5)
+
+
+# ---- safeguarded Newton in sign-change brackets ----
+
+def _cos_fdf(x):
+    with np.errstate(divide="ignore"):  # at x = 0, an end of one bracket
+        return np.cos(x), -np.cos(x) / np.sin(x)
+
+
+def _newton(fdf, lo, hi):
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return newton_bracketed(fdf, lo, hi, np.sign(fdf(lo)[0]))
+
+
+def test_newton_finds_cos_zeros_to_2_ulps():
+    # COS_HI/COS_LO's last bracket runs downward, and so does every bracket
+    # given the other way round
+    want = np.array([-1, 1, 3, 5, 7, 1]) * np.pi / 2
+    for lo, hi in ((COS_LO, COS_HI), (COS_HI, COS_LO)):
+        got = _newton(_cos_fdf, lo, hi)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert np.all((got - np.minimum(lo, hi)) * (got - np.maximum(lo, hi)) <= 0)
+
+
+def test_newton_keeps_the_bracket_shape():
+    lo2, hi2 = np.reshape(COS_LO, (2, 3)), np.reshape(COS_HI, (2, 3))
+    got = _newton(_cos_fdf, lo2, hi2)
+    _assert_same_bits([got], [_newton(_cos_fdf, COS_LO, COS_HI).reshape(2, 3)])
+    assert _newton(_cos_fdf, np.empty(0), np.empty(0)).shape == (0,)
+
+
+def test_newton_stops_on_an_exact_zero_at_the_midpoint():
+    calls = []
+
+    def fdf(x):
+        calls.append(x.copy())
+        return x, np.full_like(x, 0.25)  # a step that would move it
+
+    got = _newton(fdf, [-1.0, -3.0], [1.0, 3.0])
+    assert np.all(got == 0.0) and len(calls) == 2  # the sign at lo, then one step
+
+
+def test_newton_halves_where_the_step_is_not_finite():
+    # f = x - 0.3 on [0, 1]: a nan step at the midpoint 0.5 sends the row to
+    # the midpoint of [0, 0.5]; from there the steps are exact
+    seen = []
+
+    def fdf(x):
+        seen.append(x.copy())
+        step = np.where(x == 0.5, np.nan, x - 0.3)
+        return x - 0.3, step
+
+    got = _newton(fdf, [0.0], [1.0])
+    assert [float(x[0]) for x in seen[1:3]] == [0.5, 0.25]
+    assert abs(got[0] - 0.3) <= 2 * np.spacing(0.3)
+
+
+def test_newton_row_alone_matches_its_batch():
+    lo, hi = np.array(COS_LO), np.array(COS_HI)
+    batch = _newton(_cos_fdf, lo, hi)
+    for i in range(lo.size):
+        alone = _newton(_cos_fdf, lo[i : i + 1], hi[i : i + 1])
+        assert alone.tobytes() == batch[i : i + 1].tobytes()
+
+
+def test_newton_refuses_a_row_that_never_settles():
+    # the step always moves 1e-12 toward the root at 0.3 and stays inside:
+    # neither converged nor collapsed within the cap
+    def fdf(x):
+        return x - 0.3, np.full_like(x, 1e-12)
+
+    with pytest.raises(ConvergenceFailure, match="did not settle"):
+        _newton(fdf, [0.0], [1.0])
 
 
 # ---- seeding: the batched hull against the per-row loop it replaced ----
