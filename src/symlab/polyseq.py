@@ -5,9 +5,10 @@ dyadics, so Fraction arithmetic is lossless).  Numeric evaluation runs
 the recurrence in the value domain instead, which stays stable for
 degrees far beyond what the coefficient form tolerates.
 
-Zeros come from one routine, Sturm-sequence bisection: interlacing of
-consecutive Q_k makes the sign changes along Q_0(x), ..., Q_n(x) count
-the zeros of Q_n above x.  `zeros_Q` asks it for one degree and
+Zeros come from one routine.  Interlacing of consecutive Q_k makes the
+sign changes along Q_0(x), ..., Q_n(x) count the zeros of Q_n above x;
+those counts isolate each zero in its own bracket, and safeguarded Newton
+on Q_n / Q_n' closes it.  `zeros_Q` asks it for one degree and
 `zeros_Q_levels` for every degree 1..n in the same passes; each level
 comes out bit for bit as `zeros_Q` gives it.
 """
@@ -20,10 +21,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InterlacingViolation, NonFinite
-from .rootfind import bisect
+from .rootfind import bisect, newton_bracketed
 from .symbol import Cut, SymbolCoeffs, critical_structure
 
-_BISECT_PER_CALL = 4  # bisection steps per recurrence pass; 3 ties, 2 and 6 are slower
+# isolating bisection steps per recurrence pass: over 3,240 deep_zeros
+# calls (n = 60..71), 2 needs a second pass on 185 of them, 3 or more
+# isolate every zero in one, and 4 leaves Newton one pass fewer at worst
+# than 3 (10 against 11); 6 evaluates 63 points per bracket and is slower
+_BISECT_PER_CALL = 4
+_ISOLATE_STEPS = 48  # isolating bisection steps at most
 _SCALE_EXP = 500  # count mode keeps carried terms within 2^-500 .. 2^500
 
 
@@ -214,24 +220,31 @@ def _zeros(sym: SymbolCoeffs, degrees: range, g1: Cut) -> list[np.ndarray]:
     """Sorted zeros of Q_m inside Gamma_1, the cut `g1`, for each m in `degrees`.
 
     The sign changes along Q_0(x), ..., Q_m(x) count the zeros of Q_m
-    above x (interlacing makes each step add 0 or 1).  One count on a
-    4m+1-point grid over Gamma_1 puts every zero in a cell; 48 steps of
-    the shared sign-only `rootfind.bisect` on the count, four to a pass,
-    narrow all cells at once, and one Newton step finishes them: O(m^2)
-    work per degree.  Every degree runs in the same passes, each point of
-    the recurrence at its own degree; the count mode's rescales are powers
-    of two, so a level's bits do not depend on the degrees beside it.
-    Count mode keeps the recurrence in range, so any scale works.  Q_m
-    must then alternate strictly in sign at alpha, between consecutive
-    zeros and at beta.
+    above x (interlacing makes each step add 0 or 1), so a bracket
+    [lo, hi] holds count(lo) - count(hi) zeros.  One count on a
+    4m+2-point grid over Gamma_1 brackets every zero; the few brackets
+    that hold more than one are narrowed by the shared sign-only
+    `rootfind.bisect` on the count until each zero has its own, for at
+    most 48 steps.  The shared `rootfind.newton_bracketed` then closes
+    every isolated bracket on Q_m / Q_m', whose sign at the lower end the
+    count fixes.  Every degree runs in the same passes, each point of the
+    recurrence at its own degree; the count mode's rescales are powers of
+    two, so a level's bits do not depend on the degrees beside it.  Count
+    mode keeps the recurrence in range, so any scale works.  Q_m must then
+    alternate strictly in sign at alpha, between consecutive zeros and at
+    beta.
     """
     ms = list(degrees)
     if not any(ms):
         return [np.empty(0) for _ in ms]
 
+    def at(deg):
+        """The degree per point, `deg`, as one int for one degree."""
+        return ms[0] if len(ms) == 1 else deg
+
     def per_point(sizes):
-        """Each degree repeated over its `sizes` points: one int for one degree."""
-        return ms[0] if len(ms) == 1 else np.repeat(ms, sizes)
+        """Each degree repeated over its `sizes` points."""
+        return at(np.repeat(ms, sizes))
 
     def split(values, sizes):
         return np.split(values, np.cumsum(sizes)[:-1])
@@ -239,41 +252,63 @@ def _zeros(sym: SymbolCoeffs, degrees: range, g1: Cut) -> list[np.ndarray]:
     def count(deg, x):
         return _recurrence(sym, deg, x, derivative=False, count=True)
 
-    grids = [np.linspace(g1.lo, g1.hi, 4 * m + 1) for m in ms]
+    # 4m+2 points: no grid point sits at 1/4, 1/2 or 3/4 of the cut, where
+    # Q_m of a p = 1 symbol has zeros for some m
+    grids = [np.linspace(g1.lo, g1.hi, 4 * m + 2) for m in ms]
     sizes = [g.size for g in grids]
-    counts = count(per_point(sizes), np.concatenate(grids))[2]
+    q, _, counts = count(per_point(sizes), np.concatenate(grids))
     lo, hi, target = [], [], []
-    for m, grid, above in zip(ms, grids, split(counts, sizes)):
+    for m, grid, qm, above in zip(ms, grids, split(q, sizes), split(counts, sizes)):
         for i, want in ((0, m), (-1, 0)):
             if above[i] != want:
                 raise InterlacingViolation(
                     f"Q_0..Q_{m} change sign {above[i]:.0f} times at cut end "
                     f"{grid[i]:.8g}, not {want}"
                 )
-        # the zero with m - i zeros at or above it lies in the last cell
-        # whose left end still counts m - i
+        # zero t, the one with t - 1 zeros above it (t = m, ..., 1 ascends),
+        # lies in (lo, hi] of the last cell whose left end counts t or more;
+        # an exact zero of Q_m on that cell's right end is zero t when the
+        # end counts t - 1
         t = m - np.arange(m)
         cell = np.sum(above[:, None] >= t, axis=0) - 1
-        lo.append(grid[cell])
+        on_end = (qm[cell + 1] == 0.0) & (above[cell + 1] == t - 1)
+        lo.append(grid[np.where(on_end, cell + 1, cell)])
         hi.append(grid[cell + 1])
         target.append(t)
-    deg = per_point(ms)
-    target = np.concatenate(target)
-    lo, hi = bisect(lambda x: np.where(count(deg, x)[2] >= target, 1.0, -1.0),
-                    np.concatenate(lo), np.concatenate(hi), np.ones(target.size),
-                    48, per_call=_BISECT_PER_CALL)
-    # one Newton step from each midpoint, dropped where it would leave 8
-    # bracket widths; Q_m and Q_m' share a power of two per point
-    mid = 0.5 * (lo + hi)
-    f, df, _ = _recurrence(sym, deg, mid, derivative=True, count=True)
-    finite = np.isfinite(f) & np.isfinite(df)
-    if not finite.all():
-        bad = np.broadcast_to(deg, mid.shape)[np.argmin(finite)]
-        raise NonFinite(f"Q_{bad} left the float range on Gamma_1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(df != 0.0, f / df, 0.0)
-    step = np.where(np.abs(step) <= 8.0 * (hi - lo), step, 0.0)
-    levels = [np.sort(z) for z in split(mid - step, ms)]
+    lo, hi, target = np.concatenate(lo), np.concatenate(hi), np.concatenate(target)
+    deg = np.repeat(ms, ms)
+
+    def alone():
+        """Brackets that overlap neither neighbour's, each holding its zero
+        alone: count(lo) = t and count(hi) = t - 1."""
+        apart = (hi[:-1] <= lo[1:]) | (deg[:-1] != deg[1:])
+        return np.concatenate(([True], apart)) & np.concatenate((apart, [True]))
+
+    for _ in range(_ISOLATE_STEPS // _BISECT_PER_CALL):
+        shared = ~alone()
+        if not shared.any():
+            break
+        d, t = at(deg[shared]), target[shared]
+        lo[shared], hi[shared] = bisect(
+            lambda x: np.where(count(d, x)[2] >= t, 1.0, -1.0),
+            lo[shared], hi[shared], np.ones(t.size), _BISECT_PER_CALL,
+            per_call=_BISECT_PER_CALL)
+
+    def fdf(x, d):
+        f, df, _ = _recurrence(sym, at(d), x, derivative=True, count=True)
+        finite = np.isfinite(f) & np.isfinite(df)
+        if not finite.all():
+            raise NonFinite(f"Q_{d[np.argmin(finite)]} left the float range on Gamma_1")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return f, f / df
+
+    # Q_m is monic: t zeros above x make its sign (-1)^t.  A bracket the
+    # counts did not isolate keeps its midpoint for the closing check
+    ok = alone()
+    zs = 0.5 * (lo + hi)
+    zs[ok] = newton_bracketed(fdf, lo[ok], hi[ok], np.where(target[ok] % 2, -1.0, 1.0),
+                              floor=max(abs(g1.lo), abs(g1.hi)), args=(deg[ok],))
+    levels = [np.sort(z) for z in split(zs, ms)]
     checks = [np.concatenate(([g1.lo], 0.5 * (z[:-1] + z[1:]), [g1.hi])) for z in levels]
     sizes = [m + 1 for m in ms]
     signs = np.sign(count(per_point(sizes), np.concatenate(checks))[0])
@@ -284,8 +319,10 @@ def _zeros(sym: SymbolCoeffs, degrees: range, g1: Cut) -> list[np.ndarray]:
 
 def zeros_Q(sym: SymbolCoeffs, n: int, struct=None) -> np.ndarray:
     """Sorted zeros of Q_n inside Gamma_1, found without the lower levels:
-    O(n^2) work by Sturm sign counts, at any scale.  `InterlacingViolation`
-    when the counts at the cut ends or the closing sign check disagree.
+    O(n^2) work per recurrence pass, at any scale.  Sign counts isolate the
+    zeros and Newton closes them: for n = 60..71, 9 passes at the median
+    and 13 at most.  `InterlacingViolation` when the counts at the cut
+    ends or the closing sign check disagree.
 
     `struct` is accepted and not read: `perfbench/worker.py` still passes
     it, and ROADMAP item 4(a) deletes it.
@@ -300,7 +337,7 @@ def zeros_Q_levels(sym: SymbolCoeffs, n: int) -> list[np.ndarray]:
 
     Each level is bit for bit `zeros_Q(sym, m)`, found independently of
     the others, but every level shares the same recurrence passes: O(n^3)
-    work in 15 passes instead of 15n.
+    work in as many passes as the slowest level needs alone.
     """
     if n < 0:
         raise ValueError("need n >= 0")

@@ -10,10 +10,11 @@ per row.  Rows are independent: a row's roots are bit for bit the same
 whatever rows share its batch and wherever it sits, so callers hand over
 every polynomial they know in one call, solved _BLOCK_ROWS at a time.
 
-Real roots come from sign-change brackets, closed one of two ways.
-`newton_bracketed` takes safeguarded Newton steps where the caller has
-f/f' (second-type zeros, section determinants); `bisect` narrows by
-signs alone where it has only a sign, as for the Sturm counts of Q_n.
+Real roots come from sign-change brackets.  `bisect` narrows them by
+signs alone where the caller has only a sign, as the Sturm counts of Q_n
+do until each bracket holds one zero.  `newton_bracketed` closes them by
+safeguarded Newton steps where the caller has f/f' (zeros of Q_n,
+second-type zeros, section determinants).
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .errors import ConvergenceFailure, NonFinite
 _MAX_ITER = 60
 # rows per block: a 7,681-row branch solve traces at 3.0 MB, 6.8 MB unblocked
 _BLOCK_ROWS = 2048
-# Newton steps per bracket before giving up: Psi_{n,1} brackets settle in
-# at most 11 and the widest P_{60,1} bracket of (0,7,3) in 34
+# Newton steps per bracket before giving up.  Measured maxima: 19 for the
+# Psi_{n,1} brackets of (0,7,3) at n <= 120 (n = 104), 34 for its widest
+# P_{60,1} bracket, and 10 for the isolated Q_n brackets of 3,240 symbols
+# at n = 60..71
 _NEWTON_CAP = 100
 
 
@@ -198,31 +201,38 @@ def bisect(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
     return lo.reshape(shape), hi.reshape(shape)
 
 
-def newton_bracketed(fdf, lo: np.ndarray, hi: np.ndarray,
-                     sign_lo: np.ndarray) -> np.ndarray:
+def newton_bracketed(fdf, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
+                     floor: float = 0.0, args: tuple = ()) -> np.ndarray:
     """Roots of a vectorized f in sign-change brackets, by safeguarded Newton.
 
-    fdf(x) takes a 1-d array and returns (f(x), f(x)/f'(x)); only the sign
-    of f is read, as in `bisect`, and `sign_lo` is np.sign(f(lo)).  A
-    bracket may run either way (lo > hi).  Each row starts at its midpoint
-    and narrows its bracket by the sign of f at every point it visits.  It
-    stops once the step is at most 2 ulp of x, returning x - step clipped
-    into the bracket, at an exact zero, or once the bracket holds only two
-    adjacent floats.  Otherwise its next point is x - step when that is
-    finite and strictly inside the bracket, and the midpoint when not.
-    Rows that stop leave the batch, so a row's root does not depend on its
-    batch.  `ConvergenceFailure` after _NEWTON_CAP steps.
+    fdf(x, *args) takes a 1-d array and returns (f(x), f(x)/f'(x)); only
+    the sign of f is read, as in `bisect`, and `sign_lo` is the sign of f
+    just inside the bracket at lo: np.sign(f(lo)) unless f(lo) = 0.
+    `args` are per-bracket arrays shaped like lo, handed to fdf for the
+    rows still iterating.  A bracket may run either way (lo > hi).  Each
+    row starts at its midpoint and narrows its bracket by the sign of f at
+    every point it visits.  It stops once the step is at most 2 ulp of
+    max(|x|, floor), returning x - step clipped into the bracket, at an
+    exact zero, or once the bracket holds only two adjacent floats.
+    Otherwise its next point is x - step when that is finite and strictly
+    inside the bracket, and the midpoint when not.  `floor` is the scale
+    below which f/f' is rounding noise: with the default 0 the stop is
+    relative to x alone, which a root at or near 0 cannot meet when f is
+    rounded at a larger scale.  Rows that stop leave the batch, so a row's
+    root does not depend on its batch.  `ConvergenceFailure` after
+    _NEWTON_CAP steps.
     """
     shape = np.shape(lo)
     lo, hi = np.ravel(lo).astype(float), np.ravel(hi).astype(float)
     sign_lo = np.ravel(sign_lo)
+    args = [np.ravel(a) for a in args]
     out = np.empty(lo.size)
     rows = np.arange(lo.size)
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_CAP):
         if not rows.size:
             break
-        f, step = fdf(x)
+        f, step = fdf(x, *args)
         s = np.sign(f)
         same = s == sign_lo
         lo, hi = np.where(same, x, lo), np.where(same, hi, x)
@@ -230,7 +240,7 @@ def newton_bracketed(fdf, lo: np.ndarray, hi: np.ndarray,
         with np.errstate(invalid="ignore", over="ignore"):
             new = x - step
             # before the inside test: a last sub-ulp step may round onto an end
-            conv = np.abs(step) <= 2.0 * np.spacing(np.abs(x))
+            conv = np.abs(step) <= 2.0 * np.spacing(np.maximum(np.abs(x), floor))
             inside = (new > a) & (new < b)
         done = (s == 0.0) | conv | (np.nextafter(a, b) >= b)
         root = np.where(conv & (s != 0.0), np.clip(new, a, b), x)
@@ -238,6 +248,7 @@ def newton_bracketed(fdf, lo: np.ndarray, hi: np.ndarray,
         x = np.where(inside, new, 0.5 * (a + b))
         keep = ~done
         rows, x, lo, hi, sign_lo = rows[keep], x[keep], lo[keep], hi[keep], sign_lo[keep]
+        args = [v[keep] for v in args]
     if rows.size:
         raise ConvergenceFailure(
             f"{rows.size} bracketed roots did not settle in {_NEWTON_CAP} Newton steps"

@@ -11,6 +11,7 @@ from symlab import (
     eval_Q_with_derivative,
     gen_Q,
     multi_index,
+    polyseq,
     zeros_Q,
     zeros_Q_levels,
 )
@@ -165,11 +166,13 @@ def test_zeros_levels_scale_covariant(can):
 
 def test_zeros_Q_pinned_bits(can, small):
     # sha256 of the zeros' bytes; a last-bit drift in any zero changes them.
-    # Recorded when the sign count replaced the level walk in zeros_Q; the
-    # ladder's last level must hit the same bits
+    # Recorded when Newton on Q_m / Q_m' took over from 48 bisection steps
+    # on the count (bba0ac89... and 84801eed... before; `_certify` reads 1
+    # on both, before and after); the ladder's last level must hit the
+    # same bits
     pins = (
-        (can, 60, "bba0ac89ad66f6e547ef7a26c436d31d9c2766fc21eec840c1455ea908974575"),
-        (small, 90, "84801eedf7bf323b6ae784262e2a0b3c8d2629b966f1f140e4e4192a09dc5d2d"),
+        (can, 60, "614d0fc38c1d1da2352dec6c1b4a46735c0c65c9e8bfd731709150f2ca45908a"),
+        (small, 90, "08f7d8447141f8cdbaa5001269137133e396baaa724afc3f692238fe9f0004f2"),
     )
     for sym, n, pin in pins:
         assert hashlib.sha256(zeros_Q(sym, n).tobytes()).hexdigest() == pin
@@ -247,6 +250,63 @@ def test_zeros_Q_cubic_certified(s, rho, n):
     checks = np.concatenate(([g1.lo], 0.5 * (zs[:-1] + zs[1:]), [g1.hi]))
     signs = np.sign(eval_Q(sym, n, checks))
     assert np.all(signs[:-1] * signs[1:] < 0.0)
+
+
+# p = 1 symbols of the deep_zeros benchmark.  Q_64 of the first has a zero
+# 3e-3 from x = 0 on a cut reaching 5.4, where f/f' is rounded at the cut's
+# scale; Q_65 has zeros at 1/4, 1/2 and 3/4 of any p = 1 cut (cos(k pi/66)
+# = 0, +-1/2), where a 4m+1-point grid would put grid points
+P1_ITEMS = ((2.582129838425746, 2.032014036069426, 64),
+            (1.8910768257344825, 0.5493768585206042, 65))
+
+
+def test_zeros_Q_p1_items_match_closed_form():
+    for a0, a1, n in P1_ITEMS:
+        sym = build_symbol(1, (a0, a1))
+        g1 = critical_structure(sym).cut(1)
+        np.testing.assert_allclose(zeros_Q(sym, n), _chebyshev_zeros(a0, a1, n), rtol=0,
+                                   atol=4.0 * np.spacing(max(abs(g1.lo), abs(g1.hi))))
+
+
+def _counting_passes(monkeypatch) -> list:
+    passes = []
+    recurrence = polyseq._recurrence
+
+    def counted(*args, **kwargs):
+        passes.append(args[1])
+        return recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(polyseq, "_recurrence", counted)
+    return passes
+
+
+def test_zeros_Q_recurrence_passes_on_p1_items(monkeypatch):
+    # measured 8 on each: the grid count, one pass of 4 bisection steps on
+    # the brackets at the cut ends, 5 Newton passes and the closing check
+    passes = _counting_passes(monkeypatch)
+    for a0, a1, n in P1_ITEMS:
+        passes.clear()
+        zeros_Q(build_symbol(1, (a0, a1)), n)
+        assert len(passes) <= 8
+
+
+def test_zeros_take_an_exact_zero_on_a_grid_point(cheb, monkeypatch):
+    # Q_3 of (0, 1/4) is x^3 - x/2; on [-0.75, 0.875] the 14-point grid has
+    # step 1/8 and x = 0 exactly on it, where Q_3 = 0.  That end is the zero:
+    # Newton toward it would overshoot past 0 and halve down to the floor
+    passes = _counting_passes(monkeypatch)
+    zs = _zeros(cheb, range(3, 4), Cut(1, -0.75, 0.875))[0]
+    assert zs[1] == 0.0
+    np.testing.assert_allclose(zs[[0, 2]], [-np.sqrt(0.5), np.sqrt(0.5)], rtol=0, atol=2e-16)
+    assert len(passes) <= 7
+
+
+def test_zeros_Q_deep_certified():
+    # the near-zero p = 1 item and a p = 2 symbol at n = 64: every zero
+    # within 1 ulp of the cut's scale
+    for sym in (build_symbol(1, P1_ITEMS[0][:2]), cubic_build(CubicParams(x1=-3.0, x2=-1.0))[0]):
+        zs = zeros_Q(sym, 64)
+        assert _certify(sym, 64, zs, critical_structure(sym).cut(1)) == 1
 
 
 def test_zeros_Q_degree_zero_is_empty(can):

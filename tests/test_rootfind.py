@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -151,6 +152,64 @@ def test_newton_refuses_a_row_that_never_settles():
 
     with pytest.raises(ConvergenceFailure, match="did not settle"):
         _newton(fdf, [0.0], [1.0])
+
+
+def test_newton_hands_args_for_the_live_rows():
+    # f = x - k/10 on [0, 1]: the k = 5 row hits its root at the midpoint
+    # and leaves; the others get their own k on every later call
+    seen = []
+
+    def fdf(x, k):
+        seen.append(k.copy())
+        return x - 0.1 * k, x - 0.1 * k
+
+    k = np.array([1.0, 5.0, 3.0])
+    got = newton_bracketed(fdf, np.zeros(3), np.ones(3), -np.ones(3), args=(k,))
+    assert seen[0].tolist() == [1.0, 5.0, 3.0] and seen[1].tolist() == [1.0, 3.0]
+    assert np.all(np.abs(got - 0.1 * k) <= 2 * np.spacing(0.1 * k))
+
+
+def _noisy_at_zero(calls):
+    """f = x, exactly signed, with f/f' off by up to 1e-16: the rounding
+    of a function whose values are of order 1 near its root at 0."""
+    def fdf(x):
+        calls.append(x.copy())
+        return x, x + 1e-16 * np.cos(1e20 * x)
+    return fdf
+
+
+def test_newton_floor_settles_a_root_at_zero():
+    # relative to x alone, a step of 1e-16 never counts as small near 0:
+    # the row halves toward 0 through the subnormals and hits the cap
+    calls = []
+    with pytest.raises(ConvergenceFailure, match="did not settle"):
+        newton_bracketed(_noisy_at_zero(calls), np.array([-1.0]), np.array([0.5]),
+                         np.array([-1.0]))
+    assert len(calls) == rootfind._NEWTON_CAP and abs(calls[-1][0]) < 1e-40
+    # with the floor at the scale f is rounded at, two steps settle it
+    calls = []
+    got = newton_bracketed(_noisy_at_zero(calls), np.array([-1.0]), np.array([0.5]),
+                           np.array([-1.0]), floor=1.0)
+    assert len(calls) == 2 and abs(got[0]) <= 2 * np.spacing(1.0)
+
+
+def test_newton_without_floor_keeps_its_bits():
+    # sha256 of the roots newton_bracketed gave before it took a floor, on
+    # the cos brackets both ways round and on a cubic with a root near 0
+    # rounded at scale 5; a zero floor is the default
+    def cubic_fdf(x):
+        f = (x - 1e-3) * (x + 4.0) * (x - 5.0)
+        return f, f / ((x + 4.0) * (x - 5.0) + (x - 1e-3) * (2.0 * x - 1.0))
+
+    cases = ((_cos_fdf, COS_LO, COS_HI), (_cos_fdf, COS_HI, COS_LO),
+             (cubic_fdf, [-1.0, 0.5, -4.5, 3.0], [0.5, -3.5, -3.0, 6.0]))
+    for floor in ({}, {"floor": 0.0}):
+        digest = hashlib.sha256()
+        for fdf, lo, hi in cases:
+            lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+            digest.update(newton_bracketed(fdf, lo, hi, np.sign(fdf(lo)[0]), **floor).tobytes())
+        assert digest.hexdigest() == (
+            "33e21740324c58add36acdc8fd81befeaed462f4f3e9a3da3212a0f29bc44810")
 
 
 # ---- seeding: the batched hull against the per-row loop it replaced ----
